@@ -13,8 +13,9 @@
 //! Every run checks its outputs: a digest of every `RunRecord::encode()`
 //! in plan order plus the rendered report must agree between the drain,
 //! the resume, the report's cache reads and every simulation pass, and
-//! equal the pinned digest at the default seed. Engine counts that the passes report more than once
-//! must repeat exactly. See `README.md` for why each workload exists.
+//! equal the pinned digest at the default seed's traces. Engine counts
+//! that the passes report more than once must repeat exactly. See
+//! `README.md` for why each workload exists.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -24,8 +25,7 @@ use std::time::{Duration, Instant};
 use grid_batch::ClusterStats;
 use grid_campaign::exec::simulate_observed;
 use grid_campaign::{
-    aggregate, execute, CampaignPlan, CampaignResults, CampaignSpec, ExecOptions, ResultCache,
-    RunRecord, RunUnit,
+    aggregate, execute, CampaignPlan, CampaignSpec, ExecOptions, ResultCache, RunRecord, RunUnit,
 };
 use grid_metrics::RunOutcome;
 use grid_obs::Obs;
@@ -42,8 +42,8 @@ pub const DEFAULT_SEED: u64 = 42;
 /// The workload seed of the paper campaign (`CampaignSpec::paper()`).
 /// Traces whose simulation cost swings by an order of magnitude between
 /// seeds at the benchmark's fractions stay on it for every `--seed`, so
-/// a run-to-run bound can hold: pwa-g5k in `paper-364` and all of
-/// `fcfs-deep` (see `README.md`).
+/// a run-to-run bound can hold: all of `paper-364` and `fcfs-deep` (see
+/// `README.md`).
 const PAPER_SEED: u64 = 42;
 
 /// The six Grid'5000 months (every paper scenario but pwa-g5k).
@@ -93,7 +93,7 @@ impl Workload {
         match self {
             Workload::Paper364 => 0.0075,
             Workload::FcfsDeep => 0.35,
-            Workload::SeedSweep => 0.01,
+            Workload::SeedSweep => 0.005,
         }
     }
 
@@ -111,9 +111,9 @@ impl Workload {
     /// the workload's own fraction.
     fn pinned_digest(self) -> &'static str {
         match self {
-            Workload::Paper364 => "e3d39fe17a49b62f0980938b30e2778c",
+            Workload::Paper364 => "47a1cb5db2a2a509aa8cb994adf2fe0c",
             Workload::FcfsDeep => "1cb7fb85479795d8f53b6d3c5cef6620",
-            Workload::SeedSweep => "ce7847fdabc34b53962fe742e4aa3748",
+            Workload::SeedSweep => "ad0ec40eee4ed2b65d34b637b503589c",
         }
     }
 }
@@ -144,41 +144,42 @@ impl Case {
         }
     }
 
-    /// The campaign this case drains.
-    pub fn campaign(&self) -> Campaign {
-        let spec = |scenarios: &[Scenario], seeds: Vec<u64>| {
-            let mut spec = CampaignSpec::paper();
-            spec.name = format!("bench-{}", self.workload.name());
-            spec.fraction = self.fraction;
-            spec.scenarios = scenarios.to_vec();
-            spec.seeds = seeds;
-            spec
-        };
-        let specs = match self.workload {
-            Workload::Paper364 => vec![
-                spec(&MONTHS, vec![self.seed]),
-                spec(&[Scenario::PwaG5k], vec![PAPER_SEED]),
-            ],
-            Workload::FcfsDeep => {
-                // No reallocation axis: the plan is the reference runs.
-                let mut refs = spec(&MONTHS, vec![PAPER_SEED]);
-                refs.algorithms.clear();
-                refs.heuristics.clear();
-                vec![refs]
-            }
-            Workload::SeedSweep => vec![spec(
-                &MONTHS,
-                (0..SWEEP_SEEDS)
-                    .map(|i| self.seed.wrapping_add(i))
-                    .collect(),
-            )],
-        };
-        Campaign::new(specs)
+    /// The trace seeds the case actually runs: the paper seed for
+    /// `paper-364` and `fcfs-deep` whatever `seed` is, and
+    /// `seed..seed+9` for `seed-sweep`.
+    pub fn trace_seeds(&self) -> Vec<u64> {
+        match self.workload {
+            Workload::Paper364 | Workload::FcfsDeep => vec![PAPER_SEED],
+            Workload::SeedSweep => (0..SWEEP_SEEDS)
+                .map(|i| self.seed.wrapping_add(i))
+                .collect(),
+        }
     }
 
-    /// The digest this case must reproduce, when one is pinned.
+    /// The campaign this case drains.
+    fn campaign(&self) -> Campaign {
+        let mut spec = CampaignSpec::paper();
+        spec.name = format!("bench-{}", self.workload.name());
+        spec.fraction = self.fraction;
+        spec.seeds = self.trace_seeds();
+        if self.workload != Workload::Paper364 {
+            spec.scenarios = MONTHS.to_vec();
+        }
+        if self.workload == Workload::FcfsDeep {
+            // No reallocation axis: the plan is the reference runs.
+            spec.algorithms.clear();
+            spec.heuristics.clear();
+        }
+        let plan = spec.expand();
+        Campaign { spec, plan }
+    }
+
+    /// The digest this case must reproduce, when one is pinned: the
+    /// default seed's, whenever the case runs the same traces at the
+    /// workload's own fraction.
     pub fn pinned_digest(&self) -> Option<&'static str> {
-        (self.seed == DEFAULT_SEED && self.fraction == self.workload.fraction())
+        let default = Case::new(self.workload, DEFAULT_SEED);
+        (self.trace_seeds() == default.trace_seeds() && self.fraction == default.fraction)
             .then(|| self.workload.pinned_digest())
     }
 
@@ -200,7 +201,7 @@ fn record_hash(unit: &RunUnit, outcome: &RunOutcome) -> String {
 }
 
 /// Per-unit record hashes in plan order; a missing outcome is an error.
-pub fn record_hashes(
+fn record_hashes(
     units: &[RunUnit],
     outcomes: &[Option<RunOutcome>],
 ) -> Result<Vec<String>, String> {
@@ -215,61 +216,38 @@ pub fn record_hashes(
 }
 
 /// The output digest: every record hash in plan order, then the report.
-pub fn digest(record_hashes: &[String], report: &str) -> String {
+fn digest(record_hashes: &[String], report: &str) -> String {
     let mut all = record_hashes.join("\n");
     all.push('\n');
     all.push_str(&stable_hash128(report.as_bytes()));
     stable_hash128(all.as_bytes())
 }
 
-/// What a case drains: one or more campaign specs, expanded and run as
-/// one plan, part after part.
-pub struct Campaign {
-    parts: Vec<(CampaignSpec, CampaignPlan)>,
-    /// Every part's units, in order.
-    pub units: Vec<RunUnit>,
+/// The output check: `what`'s digest must equal the drain's.
+fn check_digest(what: &str, digest: &str, drain_digest: &str) -> Result<(), String> {
+    if digest != drain_digest {
+        return Err(format!(
+            "{what} digest {digest} differs from the drain digest {drain_digest}"
+        ));
+    }
+    Ok(())
+}
+
+/// What a case drains: one campaign spec and its expanded plan.
+struct Campaign {
+    spec: CampaignSpec,
+    plan: CampaignPlan,
 }
 
 impl Campaign {
-    /// Expand `specs` into one plan.
-    fn new(specs: Vec<CampaignSpec>) -> Campaign {
-        let parts: Vec<_> = specs
-            .into_iter()
-            .map(|spec| {
-                let plan = spec.expand();
-                (spec, plan)
-            })
-            .collect();
-        let units = parts
-            .iter()
-            .flat_map(|(_, p)| p.units.iter().cloned())
-            .collect();
-        Campaign { parts, units }
-    }
-
-    /// Each part's spec, plan and slice of `outcomes`.
-    fn split<'a>(
-        &'a self,
-        outcomes: &'a [Option<RunOutcome>],
-    ) -> impl Iterator<Item = (&'a CampaignSpec, &'a CampaignPlan, &'a [Option<RunOutcome>])> {
-        let mut at = 0;
-        self.parts.iter().map(move |(spec, plan)| {
-            let part = &outcomes[at..at + plan.len()];
-            at += plan.len();
-            (spec, plan, part)
-        })
-    }
-
-    /// Aggregate every part (`outcomes` in unit order).
-    fn aggregate(&self, outcomes: &[Option<RunOutcome>]) -> Result<Vec<CampaignResults>, String> {
-        self.split(outcomes)
-            .map(|(spec, plan, part)| aggregate(spec, plan, part))
-            .collect()
+    /// The plan's units, in plan order.
+    fn units(&self) -> &[RunUnit] {
+        &self.plan.units
     }
 
     /// Read every unit's record back from `cache`, in unit order.
     fn load(&self, cache: &ResultCache) -> Result<Vec<Option<RunOutcome>>, String> {
-        self.units
+        self.units()
             .iter()
             .map(|unit| match cache.load(unit) {
                 Some(record) => Ok(Some(record.outcome)),
@@ -278,14 +256,10 @@ impl Campaign {
             .collect()
     }
 
-    /// The report a user reads: every part's paper tables and CSV export.
-    pub fn report(&self, outcomes: &[Option<RunOutcome>]) -> Result<String, String> {
-        let mut out = String::new();
-        for results in self.aggregate(outcomes)? {
-            out.push_str(&results.render_tables());
-            out.push_str(&results.to_csv());
-        }
-        Ok(out)
+    /// The report a user reads: the paper tables and the CSV export.
+    fn report(&self, outcomes: &[Option<RunOutcome>]) -> Result<String, String> {
+        let results = aggregate(&self.spec, &self.plan, outcomes)?;
+        Ok(results.render_tables() + &results.to_csv())
     }
 }
 
@@ -344,9 +318,20 @@ impl WorkDir {
 }
 
 impl Drop for WorkDir {
+    /// Remove the directory and settle the file system, so the deferred
+    /// work of the removal does not spill into whatever runs next.
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
+        settle_file_system();
     }
+}
+
+/// Wait for the file system's deferred work (dirty pages, journal
+/// commits, block discards of deleted files) to finish, so that a timed
+/// step does not pay for the files of an earlier one. Best effort:
+/// without a `sync` program the run goes on unsettled.
+fn settle_file_system() {
+    let _ = std::process::Command::new("sync").status();
 }
 
 /// Median of `values` (0 for none).
@@ -493,7 +478,7 @@ fn repeat<T>(
 
 /// Timings of the drain/resume/report cycles of one run.
 #[derive(Debug, Default)]
-struct Cycles {
+pub struct Cycles {
     setup_s: Vec<f64>,
     drain_s: Vec<f64>,
     cpu_s: Vec<f64>,
@@ -505,23 +490,45 @@ struct Cycles {
     first: Option<(String, Counts)>,
 }
 
+/// A drained, checked cache whose reads are still to come.
+pub struct Drain {
+    campaign: Campaign,
+    cache: ResultCache,
+    digest: String,
+}
+
+impl Drain {
+    /// The drained plan's units.
+    pub fn units(&self) -> &[RunUnit] {
+        self.campaign.units()
+    }
+
+    /// The cache the drain filled.
+    pub fn cache(&self) -> &ResultCache {
+        &self.cache
+    }
+}
+
 impl Cycles {
     /// One drain → resume → report cycle into a fresh cache.
     fn run(&mut self, case: &Case, work: &WorkDir) -> Result<(), String> {
+        let drain = self.drain(case, work)?;
+        self.read_back(case, &drain)
+    }
+
+    /// Set up, drain the plan into a fresh cache and check the drain.
+    pub fn drain(&mut self, case: &Case, work: &WorkDir) -> Result<Drain, String> {
         self.setup_s.extend(setup_samples(case, work)?);
         let campaign = case.campaign();
-        let units = &campaign.units;
+        let units = campaign.units();
         let n = units.len();
         let dir = work.fresh("cache");
         let cache = ResultCache::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let opts = ExecOptions {
-            threads: Some(case.workload.threads()),
-            ..ExecOptions::default()
-        };
+        settle_file_system();
 
         let cpu0 = cpu_seconds()?;
         let t = Instant::now();
-        let (drained, summary) = execute(units, Some(&cache), &opts);
+        let (drained, summary) = execute(units, Some(&cache), &exec_options(case));
         self.drain_s.push(t.elapsed().as_secs_f64());
         self.cpu_s.push(cpu_seconds()? - cpu0);
         self.units += n as u64;
@@ -536,30 +543,39 @@ impl Cycles {
 
         // Check the drain, then drop its outcomes before timing the
         // reads, so those start from the same heap in every cycle.
-        let drain_digest = digest(
+        let digest = digest(
             &record_hashes(units, &drained)?,
             &campaign.report(&drained)?,
         );
-        case.check_pinned(&drain_digest, "drain")?;
+        case.check_pinned(&digest, "drain")?;
         let counts = Counts::of_drain(units, &drained, &cache)?;
         drop(drained);
         if case.workload == Workload::FcfsDeep && counts.ticks != 0 {
             return Err(format!("fcfs-deep ran {} reallocation ticks", counts.ticks));
         }
         match &self.first {
-            None => self.first = Some((drain_digest.clone(), counts)),
-            Some((d, c)) => {
-                if *d != drain_digest {
-                    return Err(format!(
-                        "drain digest {drain_digest} differs from the first cycle's {d}"
-                    ));
-                }
+            None => self.first = Some((digest.clone(), counts)),
+            Some((first, c)) => {
+                check_digest("repeated drain", &digest, first)?;
                 c.check_same(&counts, "repeated drains")?;
             }
         }
+        Ok(Drain {
+            campaign,
+            cache,
+            digest,
+        })
+    }
 
+    /// Resume the drained plan from its cache and report it, each
+    /// repeated, and check both against the drain.
+    pub fn read_back(&mut self, case: &Case, drain: &Drain) -> Result<(), String> {
+        let (campaign, cache) = (&drain.campaign, &drain.cache);
+        let units = campaign.units();
+        let n = units.len();
+        let opts = exec_options(case);
         let resumed = repeat(&mut self.resume_s, || {
-            let (resumed, again) = execute(units, Some(&cache), &opts);
+            let (resumed, again) = execute(units, Some(cache), &opts);
             self.units += n as u64;
             if again.cached != n {
                 return Err(format!(
@@ -571,20 +587,21 @@ impl Cycles {
         })?;
         let resumed = record_hashes(units, &resumed)?;
         let (loaded, report) = repeat(&mut self.report_s, || {
-            let loaded = campaign.load(&cache)?;
+            let loaded = campaign.load(cache)?;
             let report = campaign.report(&loaded)?;
             Ok((loaded, report))
         })?;
         let loaded = record_hashes(units, &loaded)?;
-        for (what, outcomes) in [("resume", &resumed), ("report", &loaded)] {
-            let d = digest(outcomes, &report);
-            if d != drain_digest {
-                return Err(format!(
-                    "{what} digest {d} differs from drain digest {drain_digest}"
-                ));
-            }
-        }
-        Ok(())
+        check_digest("resume", &digest(&resumed, &report), &drain.digest)?;
+        check_digest("report", &digest(&loaded, &report), &drain.digest)
+    }
+}
+
+/// The executor options of a case: its thread count, nothing printed.
+fn exec_options(case: &Case) -> ExecOptions {
+    ExecOptions {
+        threads: Some(case.workload.threads()),
+        ..ExecOptions::default()
     }
 }
 
@@ -637,11 +654,13 @@ pub fn end_to_end(
     ];
     let digest = cycles.first.as_ref().map_or("", |(d, _)| d.as_str());
     let detail = format!(
-        "{done} cycles ({} resumes, {} reports, {} set-ups); drains {:.3?} s; digest {digest}",
+        "{done} cycles ({} resumes, {} reports, {} set-ups); drains {:.3?} s, CPU {:.2?} s; \
+         digest {digest}",
         cycles.resume_s.len(),
         cycles.report_s.len(),
         cycles.setup_s.len(),
         cycles.drain_s,
+        cycles.cpu_s,
     );
     Ok(Outcome {
         attempted: cycles.units,
@@ -651,7 +670,8 @@ pub fn end_to_end(
 }
 
 /// Map `f` over `0..n` on `threads` workers pulling indices off a
-/// shared cursor, returning results in index order.
+/// shared cursor, returning results in index order. This is how
+/// `execute` hands out units, so a pass idles where the executor does.
 fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let cursor = AtomicUsize::new(0);
     let mut out: Vec<(usize, T)> = std::thread::scope(|scope| {
@@ -682,6 +702,8 @@ fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> 
 /// Everything one simulation pass over the plan reports.
 #[derive(Debug, Default)]
 struct Pass {
+    /// Wall time of the whole pass, seconds.
+    wall_s: f64,
     /// Per-unit wall time of `simulate_observed`, seconds.
     walls: Vec<f64>,
     hashes: Vec<String>,
@@ -697,6 +719,7 @@ struct Pass {
 
 impl Pass {
     fn run(units: &[RunUnit], threads: usize, traced: bool) -> Pass {
+        let started = Instant::now();
         let per_unit = par_map(units.len(), threads, |i| {
             let obs = if traced {
                 Obs::enabled()
@@ -708,7 +731,10 @@ impl Pass {
             let wall = t.elapsed().as_secs_f64();
             (wall, outcome, stats, grid, obs.snapshot())
         });
-        let mut pass = Pass::default();
+        let mut pass = Pass {
+            wall_s: started.elapsed().as_secs_f64(),
+            ..Pass::default()
+        };
         for (unit, (wall, outcome, stats, grid, recorder)) in units.iter().zip(per_unit) {
             pass.walls.push(wall);
             pass.hashes.push(record_hash(unit, &outcome));
@@ -820,26 +846,20 @@ fn json_files(dir: &Path) -> Result<(u64, u64), String> {
     Ok((bytes, files))
 }
 
-/// Traced run: one untraced drain for the executor and cache figures,
-/// two untraced and two traced simulation passes, and the benchmark's
-/// timed calls into `workload`, `campaign.cache`, `ser` and
-/// `campaign.aggregate`.
+/// Traced run: one untraced drain for the cache figures, two untraced
+/// simulation passes for the executor figures, two traced ones for the
+/// engine's layers, and the benchmark's timed calls into `workload`,
+/// `campaign.cache`, `ser` and `campaign.aggregate`.
 pub fn layers(case: &Case, work: &WorkDir) -> Result<Outcome, String> {
     let campaign = case.campaign();
-    let units = &campaign.units;
+    let units = campaign.units();
     let n = units.len();
     let threads = case.workload.threads();
 
     // The drain, as the untraced run makes it.
     let dir = work.fresh("cache");
     let cache = ResultCache::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let opts = ExecOptions {
-        threads: Some(threads),
-        ..ExecOptions::default()
-    };
-    let t = Instant::now();
-    let (drained, summary) = execute(units, Some(&cache), &opts);
-    let drain_s = t.elapsed().as_secs_f64();
+    let (drained, summary) = execute(units, Some(&cache), &exec_options(case));
     let failed = summary.failures.len() + summary.store_errors.len();
     if failed > 0 {
         return Err(format!("{failed} of {n} units failed in the drain"));
@@ -868,9 +888,11 @@ pub fn layers(case: &Case, work: &WorkDir) -> Result<Outcome, String> {
         traced.push(Pass::run(units, threads, true));
     }
     for pass in plain.iter().chain(&traced) {
-        if digest(&pass.hashes, &report) != drain_digest {
-            return Err("a simulation pass produced records that differ from the drain's".into());
-        }
+        check_digest(
+            "simulation pass",
+            &digest(&pass.hashes, &report),
+            &drain_digest,
+        )?;
         drain_counts.check_same(&pass.counts, "drain vs simulation pass")?;
     }
     for name in EXACT_COUNTERS {
@@ -920,7 +942,7 @@ pub fn layers(case: &Case, work: &WorkDir) -> Result<Outcome, String> {
         }
     }
     let t = Instant::now();
-    let results = campaign.aggregate(&drained)?;
+    let results = aggregate(&campaign.spec, &campaign.plan, &drained)?;
     let aggregate_ms = t.elapsed().as_secs_f64() * 1e3;
     std::hint::black_box(results);
 
@@ -931,6 +953,7 @@ pub fn layers(case: &Case, work: &WorkDir) -> Result<Outcome, String> {
     };
     let traced_ms = mean(&traced, &|p| p.total_s() * 1e3);
     let plain_s = mean(&plain, &Pass::total_s);
+    let idle_s = mean(&plain, &|p| threads as f64 * p.wall_s - p.total_s());
     let unit_walls: Vec<f64> = (0..n).map(|i| mean(&plain, &|p| p.walls[i])).collect();
     let rows: Vec<(&'static str, f64)> = SELF_TIMES
         .iter()
@@ -1030,11 +1053,7 @@ pub fn layers(case: &Case, work: &WorkDir) -> Result<Outcome, String> {
         metric("core.run_ms_max", "ms", percentile(&unit_walls, 1.0) * 1e3),
         metric("campaign.exec.units", "count", n as f64),
         metric("campaign.exec.busy_s", "s", plain_s),
-        metric(
-            "campaign.exec.idle_s",
-            "s",
-            threads as f64 * drain_s - plain_s,
-        ),
+        metric("campaign.exec.idle_s", "s", idle_s),
         metric("campaign.cache.store_ms", "ms", store * 1e3),
         metric("campaign.cache.load_ms", "ms", load * 1e3),
         metric("campaign.cache.record_bytes", "bytes", record_bytes as f64),

@@ -18,9 +18,9 @@ use campaign_bench::{end_to_end, layers, nproc, Case, WorkDir, Workload, DEFAULT
 use grid_ser::Value;
 
 /// Drain/resume/report cycles every untraced run makes, even past its
-/// time budget. Two keep a run on a slow host within about twice the
-/// budget; a fast host fits more cycles in the budget.
-const MIN_CYCLES: u32 = 2;
+/// time budget: the host's speed drifts on the scale of one `paper-364`
+/// drain (~10 s), so a median needs at least three of them.
+const MIN_CYCLES: u32 = 3;
 
 struct Args {
     workload: Workload,
@@ -68,11 +68,17 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn fingerprint(args: &Args) -> Value {
+fn fingerprint(args: &Args, case: &Case) -> Value {
     let mut v = Value::object();
     v.insert("schema", SCHEMA);
     v.insert("workload", args.workload.name());
     v.insert("seed", args.seed);
+    // What `--seed` turned into: `paper-364` and `fcfs-deep` run the
+    // paper seed's traces whatever the argument.
+    v.insert(
+        "trace_seeds",
+        Value::Arr(case.trace_seeds().into_iter().map(Value::from).collect()),
+    );
     v.insert("trace", args.trace);
     v.insert("nproc", nproc() as u64);
     v.insert("threads", args.workload.threads() as u64);
@@ -106,7 +112,7 @@ fn run(args: &Args) -> Result<(), String> {
     for m in &outcome.metrics {
         eprintln!("  {:<34} {:>16.6} {}", m.name, m.value, m.unit);
     }
-    println!("{}", fingerprint(args).encode());
+    println!("{}", fingerprint(args, &case).encode());
     println!("{}", outcome.to_json().encode());
     Ok(())
 }

@@ -1,14 +1,11 @@
 //! The benchmark's own checks, at a tiny fraction so they run in seconds:
 //! every metric `BENCHMARK.json` names is emitted with its unit, and the
-//! output digest catches a changed record byte.
+//! output check fails a run whose cached record changed a byte.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use campaign_bench::{
-    digest, end_to_end, layers, record_hashes, Case, WorkDir, Workload, DEFAULT_SEED,
-};
-use grid_campaign::{execute, ExecOptions, ResultCache};
+use campaign_bench::{end_to_end, layers, Case, Cycles, WorkDir, Workload, DEFAULT_SEED};
 use grid_ser::Value;
 
 /// Small enough that every workload's plan drains in about a second.
@@ -95,21 +92,19 @@ fn every_declared_metric_is_emitted_with_its_unit() {
 
 #[test]
 fn a_flipped_record_byte_fails_the_digest_check() {
-    let campaign = tiny(Workload::Paper364).campaign();
-    let units = &campaign.units;
+    let case = tiny(Workload::Paper364);
     let work = work_dir("flipped-byte");
-    let cache =
-        ResultCache::open(PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("flipped-byte/cache"))
-            .expect("cache");
-    let opts = ExecOptions::default();
-    let (drained, _) = execute(units, Some(&cache), &opts);
-    let good = digest(
-        &record_hashes(units, &drained).unwrap(),
-        &campaign.report(&drained).unwrap(),
-    );
+    let mut cycles = Cycles::default();
 
-    // Change one digit of a job record, keeping the file valid JSON.
-    let path = cache.path(&units[0]);
+    let clean = cycles.drain(&case, &work).expect("drain");
+    cycles
+        .read_back(&case, &clean)
+        .expect("an untouched cache passes");
+
+    // Change one digit of a job record between the drain and the reads,
+    // keeping the file valid JSON, so the record still loads.
+    let drain = cycles.drain(&case, &work).expect("drain");
+    let path = drain.cache().path(&drain.units()[0]);
     let mut bytes = std::fs::read(&path).unwrap();
     let outcome_at = bytes.windows(9).position(|w| w == b"\"outcome\"").unwrap();
     let digit = outcome_at
@@ -120,18 +115,13 @@ fn a_flipped_record_byte_fails_the_digest_check() {
     bytes[digit] += 1;
     std::fs::write(&path, &bytes).unwrap();
 
-    let (resumed, summary) = execute(units, Some(&cache), &opts);
-    assert_eq!(
-        summary.cached,
-        units.len(),
-        "the changed record still loads"
+    let err = cycles
+        .read_back(&case, &drain)
+        .expect_err("the changed byte must fail the check");
+    assert!(
+        err.contains("resume digest") && err.contains("differs"),
+        "{err}"
     );
-    let tampered = digest(
-        &record_hashes(units, &resumed).unwrap(),
-        &campaign.report(&resumed).unwrap(),
-    );
-    assert_ne!(tampered, good, "the digest must see the changed byte");
-    drop(work);
 }
 
 #[test]
@@ -144,4 +134,10 @@ fn the_pinned_digest_rejects_other_output() {
         .is_err());
     assert!(Case::new(Workload::SeedSweep, 7).pinned_digest().is_none());
     assert!(tiny(Workload::SeedSweep).pinned_digest().is_none());
+    // The workloads that run the paper seed's traces at every seed keep
+    // their pinned digest at every seed.
+    for workload in [Workload::Paper364, Workload::FcfsDeep] {
+        assert_eq!(Case::new(workload, 7).trace_seeds(), vec![DEFAULT_SEED]);
+        assert!(Case::new(workload, 7).pinned_digest().is_some());
+    }
 }
