@@ -245,7 +245,7 @@ pub struct ClusterStats {
     /// the ECT dry-run pass reused it instead of re-freezing.
     pub ect_snapshot_reuses: u64,
     /// Batched ECT column fills answered against the snapshot
-    /// ([`Cluster::estimate_new_batch`] calls — one per per-cluster
+    /// ([`Cluster::estimate_placement_batch`] calls — one per per-cluster
     /// column the reallocation round (re)filled).
     pub ect_column_refills: u64,
 }
@@ -315,13 +315,29 @@ impl ClusterStats {
     }
 }
 
+/// Where a dry-run submission would land ([`Cluster::estimate_placement`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// Reserved start.
+    pub start: SimTime,
+    /// The estimate the middleware reports: the reservation end (`start`
+    /// plus the scaled walltime), perturbed by the [`EctNoise`] hook when
+    /// one is installed.
+    pub ect: SimTime,
+    /// Free processors left over the reservation window once the job is
+    /// placed: the minimum free count over the window minus the job's
+    /// processors. A later reservation of at most `slack` processors
+    /// cannot displace the placement.
+    pub slack: u32,
+}
+
 /// The frozen state behind a run of read-only ECT dry-runs: the
 /// copy-on-write profile snapshot plus the policy's tail floor at the
 /// freeze instant. The floor is a pure function of the frozen queue, so
 /// computing it once here amortises what is otherwise a per-estimate
 /// cost (FCFS pays an O(queue) max-scan for it) across every
-/// [`Cluster::estimate_new_at`] / [`Cluster::estimate_new_batch`] call
-/// served by the same freeze.
+/// [`Cluster::estimate_placement`] /
+/// [`Cluster::estimate_placement_batch`] call served by the same freeze.
 #[derive(Debug, Clone)]
 struct FrozenEstimates {
     profile: ProfileSnapshot,
@@ -361,7 +377,8 @@ pub struct Cluster {
     /// clean).
     dirty_from: Option<usize>,
     /// Copy-on-write freeze of the profile serving read-only ECT dry-runs
-    /// ([`Cluster::estimate_new_at`] / [`Cluster::estimate_new_batch`]).
+    /// ([`Cluster::estimate_placement`] /
+    /// [`Cluster::estimate_placement_batch`]).
     /// Taken by [`Cluster::prepare_estimates`]; dropped only by real
     /// mutations (submit/cancel/complete/fail_until) or an origin
     /// advance, so back-to-back dry-run passes within one reallocation
@@ -760,42 +777,116 @@ impl Cluster {
         self.obs.count("ect.snapshot_reuses", 1);
     }
 
-    /// Estimated completion time of a *hypothetical* submission of `job`
-    /// at `now`, answered against the frozen snapshot — bit-identical to
-    /// [`Cluster::estimate_new`] but requiring only `&self`: no schedule
-    /// cache is touched and nothing is mutated at all. Subject to the
-    /// [`EctNoise`] fault hook when one is installed.
+    /// Where a *hypothetical* submission of `job` at `now` would land,
+    /// answered against the frozen snapshot — its ECT is bit-identical to
+    /// [`Cluster::estimate_new`] but requires only `&self`: no schedule
+    /// cache is touched and nothing is mutated at all. The ECT is subject
+    /// to the [`EctNoise`] fault hook when one is installed. `None` when
+    /// the job cannot run here.
+    ///
+    /// The first-fit descent starts at the frozen tail floor, or at
+    /// `resume` when that lies above it. `resume` must be a proven lower
+    /// bound on the answer from the floor — a start this job provably
+    /// cannot beat, e.g. the placement it had before the schedule only
+    /// lost capacity and the floor only rose — so the answer is the one
+    /// a descent from the floor returns. Pass `SimTime::ZERO` to descend
+    /// from the floor. Debug builds re-probe a resumed descent from the
+    /// floor and assert the same start.
     ///
     /// # Panics
     /// Panics if no snapshot is cached — call
     /// [`Cluster::prepare_estimates`] first (any mutation in between
     /// drops the snapshot, on purpose: a stale answer would otherwise be
     /// indistinguishable from a fresh one).
-    pub fn estimate_new_at(&self, job: &JobSpec, now: SimTime) -> Option<SimTime> {
+    pub fn estimate_placement(
+        &self,
+        job: &JobSpec,
+        resume: SimTime,
+        now: SimTime,
+    ) -> Option<Placement> {
         if job.procs > self.spec.procs || job.procs == 0 {
             return None;
         }
         let frozen = self.snapshot.as_ref().expect("prepare_estimates first");
         debug_assert_eq!(frozen.now, now, "snapshot frozen at a different instant");
         let scaled = self.scale_job(job);
-        let start = frozen
-            .profile
-            .first_fit(frozen.floor, scaled.walltime, scaled.procs);
+        let (start, room) =
+            frozen
+                .profile
+                .first_fit_room(resume.max(frozen.floor), scaled.walltime, scaled.procs);
+        if resume > frozen.floor {
+            self.debug_check_placement(job, start);
+        }
         self.obs.count("ect.estimate_new", 1);
-        Some(self.noisy(job.id, now, start + scaled.walltime))
+        Some(self.placement(job.id, now, start, scaled.walltime, room - scaled.procs))
     }
 
-    /// Fill one ECT column in a single batched pass: estimate every
-    /// `Some` entry of `jobs` against one frozen snapshot, threading a
+    /// The tail floor of the frozen snapshot: no dry-run placement starts
+    /// before it.
+    ///
+    /// # Panics
+    /// Panics if no snapshot is cached.
+    pub fn estimate_floor(&self) -> SimTime {
+        self.snapshot
+            .as_ref()
+            .expect("prepare_estimates first")
+            .floor
+    }
+
+    /// Debug-build self-check: `start` is where a fresh first fit from
+    /// the frozen tail floor places `job`. Callers use it to verify a
+    /// placement they kept or resumed instead of probing from the floor.
+    /// The check probe is not counted in `first_fit_probes`, so debug
+    /// and release telemetry agree. A no-op in release builds.
+    ///
+    /// # Panics
+    /// Panics (debug builds) on a mismatch, or if no snapshot is cached.
+    pub fn debug_check_placement(&self, job: &JobSpec, start: SimTime) {
+        if cfg!(debug_assertions) {
+            let frozen = self.snapshot.as_ref().expect("prepare_estimates first");
+            let scaled = self.scale_job(job);
+            let fresh =
+                frozen
+                    .profile
+                    .first_fit_unprobed(frozen.floor, scaled.walltime, scaled.procs);
+            assert_eq!(
+                start, fresh,
+                "{}: kept or resumed placement of {} differs from a fresh probe",
+                self.spec.name, job.id
+            );
+        }
+    }
+
+    fn placement(
+        &self,
+        id: JobId,
+        now: SimTime,
+        start: SimTime,
+        walltime: Duration,
+        slack: u32,
+    ) -> Placement {
+        Placement {
+            start,
+            ect: self.noisy(id, now, start + walltime),
+            slack,
+        }
+    }
+
+    /// Fill one ECT column in a single batched pass: place every `Some`
+    /// entry of `jobs` against one frozen snapshot, threading a
     /// `BatchFit` dominance frontier across the column so each
     /// placement descent resumes from the floor earlier jobs proved
     /// unreachable (sound because every query shares the same tail-floor
     /// base against the same frozen store). `None` entries pass through
     /// as `None`, preserving index alignment with the caller's job list.
     ///
-    /// Answers are bit-identical to calling [`Cluster::estimate_new`]
-    /// per job.
-    pub fn estimate_new_batch<'a, I>(&mut self, jobs: I, now: SimTime) -> Vec<Option<SimTime>>
+    /// Answers are bit-identical to calling
+    /// [`Cluster::estimate_placement`] per job.
+    pub fn estimate_placement_batch<'a, I>(
+        &mut self,
+        jobs: I,
+        now: SimTime,
+    ) -> Vec<Option<Placement>>
     where
         I: IntoIterator<Item = Option<&'a JobSpec>>,
     {
@@ -814,10 +905,10 @@ impl Cluster {
                     }
                     let scaled = self.scale_job(job);
                     let base = fit.floor(floor, scaled.procs, scaled.walltime);
-                    let start = snap.first_fit(base, scaled.walltime, scaled.procs);
+                    let (start, room) = snap.first_fit_room(base, scaled.walltime, scaled.procs);
                     fit.note(scaled.procs, scaled.walltime, start);
                     self.obs.count("ect.estimate_new", 1);
-                    Some(self.noisy(job.id, now, start + scaled.walltime))
+                    Some(self.placement(job.id, now, start, scaled.walltime, room - scaled.procs))
                 }));
             }
             out
@@ -1464,10 +1555,14 @@ pub(crate) mod tests {
         assert_eq!(c.waiting_count(), 0);
     }
 
+    fn ect(placement: Option<Placement>) -> Option<SimTime> {
+        placement.map(|p| p.ect)
+    }
+
     /// The snapshot dry-run path (`prepare_estimates` +
-    /// `estimate_new_at` / `estimate_new_batch`) answers bit-identically
-    /// to the mutable `estimate_new`, for every policy, without a single
-    /// rebuild or repair.
+    /// `estimate_placement` / `estimate_placement_batch`) answers
+    /// bit-identically to the mutable `estimate_new`, for every policy,
+    /// without a single rebuild or repair.
     #[test]
     fn snapshot_estimates_match_mutable_path() {
         for policy in [
@@ -1495,12 +1590,16 @@ pub(crate) mod tests {
             c.prepare_estimates(SimTime(0));
             let singles: Vec<Option<SimTime>> = probes
                 .iter()
-                .map(|j| c.estimate_new_at(j, SimTime(0)))
+                .map(|j| ect(c.estimate_placement(j, SimTime::ZERO, SimTime(0))))
                 .collect();
             assert_eq!(singles, mutable, "{policy}: single snapshot estimates");
             let recomputes = c.stats().recomputes;
             let repairs = c.stats().suffix_repairs;
-            let batched = c.estimate_new_batch(probes.iter().map(Some), SimTime(0));
+            let batched: Vec<Option<SimTime>> = c
+                .estimate_placement_batch(probes.iter().map(Some), SimTime(0))
+                .into_iter()
+                .map(ect)
+                .collect();
             assert_eq!(batched, mutable, "{policy}: batched snapshot estimates");
             assert_eq!(
                 c.stats().recomputes,
@@ -1516,8 +1615,14 @@ pub(crate) mod tests {
             assert!(c.has_estimate_snapshot());
             // `None` input entries pass through without touching the
             // frontier or the column alignment.
-            let sparse =
-                c.estimate_new_batch([None, Some(&probes[1]), None, Some(&probes[2])], SimTime(0));
+            let sparse: Vec<Option<SimTime>> = c
+                .estimate_placement_batch(
+                    [None, Some(&probes[1]), None, Some(&probes[2])],
+                    SimTime(0),
+                )
+                .into_iter()
+                .map(ect)
+                .collect();
             assert_eq!(sparse, vec![None, mutable[1], None, mutable[2]]);
         }
     }
@@ -1537,8 +1642,8 @@ pub(crate) mod tests {
         c.prepare_estimates(SimTime(0));
         assert!(c.has_estimate_snapshot());
         let probe = JobSpec::new(99, 0, 2, 10, 20);
-        c.estimate_new_at(&probe, SimTime(0));
-        c.estimate_new_batch([Some(&probe)], SimTime(0));
+        c.estimate_placement(&probe, SimTime::ZERO, SimTime(0));
+        c.estimate_placement_batch([Some(&probe)], SimTime(0));
         assert!(
             c.has_estimate_snapshot(),
             "dry-runs must not drop the snapshot"

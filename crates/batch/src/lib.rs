@@ -40,7 +40,7 @@ pub mod sched;
 pub use avail::Breakpoints;
 #[doc(hidden)]
 pub use cluster::set_completion_skip_enabled;
-pub use cluster::{Cluster, ClusterStats, EctNoise, QueuedRef, Running, SubmitError};
+pub use cluster::{Cluster, ClusterStats, EctNoise, Placement, QueuedRef, Running, SubmitError};
 pub use gantt::{availability_lane, GanttChart, GanttEntry};
 pub use job::{JobId, JobSpec, ScaledJob};
 pub use platform::{ClusterSpec, Platform};

@@ -446,17 +446,44 @@ impl ProfileSnapshot {
     /// backend dispatch and same panics as [`Profile::first_fit`],
     /// answered against the frozen store.
     pub fn first_fit(&self, after: SimTime, dur: Duration, procs: u32) -> SimTime {
+        self.probes.set(self.probes.get() + 1);
+        self.first_fit_unprobed(after, dur, procs)
+    }
+
+    /// [`ProfileSnapshot::first_fit`] plus the *room* of the placement:
+    /// the minimum free count over the placed window `[start, start +
+    /// dur)`, before the job itself is subtracted. The inline backend
+    /// takes it from the window its scan already walked; the tree reads
+    /// its `min_free` aggregate. One probe, like `first_fit`.
+    pub fn first_fit_room(&self, after: SimTime, dur: Duration, procs: u32) -> (SimTime, u32) {
+        self.check_query(dur, procs);
+        self.probes.set(self.probes.get() + 1);
+        match &*self.repr {
+            Repr::Small(s) => s.earliest_fit_room(after, procs, dur),
+            Repr::Tree(t) => {
+                let start = t.first_fit(after, dur, procs);
+                (start, t.min_free(start, dur))
+            }
+        }
+    }
+
+    /// `first_fit` without ticking the probe counter — for self-checks
+    /// that must not show up in scheduler-effort telemetry.
+    pub(crate) fn first_fit_unprobed(&self, after: SimTime, dur: Duration, procs: u32) -> SimTime {
+        self.check_query(dur, procs);
+        match &*self.repr {
+            Repr::Small(s) => s.earliest_fit(after, procs, dur),
+            Repr::Tree(t) => t.first_fit(after, dur, procs),
+        }
+    }
+
+    fn check_query(&self, dur: Duration, procs: u32) {
         assert!(
             procs <= self.total,
             "job needs {procs} procs, cluster has {}",
             self.total
         );
         assert!(dur > Duration::ZERO, "placement window must be non-empty");
-        self.probes.set(self.probes.get() + 1);
-        match &*self.repr {
-            Repr::Small(s) => s.earliest_fit(after, procs, dur),
-            Repr::Tree(t) => t.first_fit(after, dur, procs),
-        }
     }
 
     /// Free processors at instant `t` (clamped to the snapshot origin).
@@ -734,6 +761,13 @@ impl SmallProfile {
     }
 
     fn earliest_fit(&self, after: SimTime, procs: u32, dur: Duration) -> SimTime {
+        self.earliest_fit_room(after, procs, dur).0
+    }
+
+    /// `earliest_fit` plus the minimum free count over the placed window
+    /// (the final scan already visits every segment of it).
+    #[inline(always)]
+    fn earliest_fit_room(&self, after: SimTime, procs: u32, dur: Duration) -> (SimTime, u32) {
         let points = self.points();
         let after = after.max(self.origin());
         let n = points.len();
@@ -753,15 +787,17 @@ impl SmallProfile {
             cand = cand.max(points[i].0);
             let end = cand + dur;
             let mut j = i;
+            let mut room = u32::MAX;
             while j < n && points[j].0 < end {
                 if points[j].1 < procs {
                     i = j;
                     cand = if j + 1 < n { points[j + 1].0 } else { end };
                     continue 'outer;
                 }
+                room = room.min(points[j].1);
                 j += 1;
             }
-            return cand;
+            return (cand, room);
         }
     }
 
@@ -1387,6 +1423,31 @@ mod tests {
         assert_eq!(p.first_fit(t(0), d(60), 4), t(200));
         assert_eq!(p.take_probes(), 4, "every placement query is a probe");
         assert_eq!(p.take_probes(), 0, "harvest drains the counter");
+    }
+
+    /// `first_fit_room` is `first_fit` plus the window's `min_free`, on
+    /// both backends, for windows that start mid-segment, straddle dips
+    /// and run past the last breakpoint; it counts one probe.
+    #[test]
+    fn first_fit_room_is_first_fit_plus_window_min() {
+        for mut p in [Profile::flat(8, t(0)), Profile::flat_tree(8, t(0))] {
+            p.reserve(t(0), d(100), 6);
+            p.reserve(t(120), d(30), 3);
+            p.reserve(t(150), d(50), 8);
+            p.reserve(t(260), d(40), 1);
+            let snap = p.snapshot();
+            for after in [0, 5, 100, 110, 130, 199, 250, 280] {
+                for dur in [1, 10, 25, 60, 200] {
+                    for procs in 1..=8 {
+                        let start = snap.first_fit(t(after), d(dur), procs);
+                        let _ = snap.take_probes();
+                        let room = snap.first_fit_room(t(after), d(dur), procs);
+                        assert_eq!(snap.take_probes(), 1);
+                        assert_eq!(room, (start, snap.min_free(start, d(dur))));
+                    }
+                }
+            }
+        }
     }
 
     /// Outage truncation lands on the exact instant even when `now` and

@@ -1,6 +1,6 @@
 //! Differential oracle for the copy-on-write estimate snapshot: under
 //! random `submit` / `cancel` / time-advance / `fail_until` churn, the
-//! read-only [`Cluster::estimate_new_at`] path (behind
+//! read-only [`Cluster::estimate_placement`] path (behind
 //! [`Cluster::prepare_estimates`]) must answer every hypothetical
 //! submission **bit-identically** to the historical mutable
 //! [`Cluster::estimate_new`] path — and the read-only path must never
@@ -41,8 +41,12 @@ fn check_probe(c: &mut Cluster, probe: &JobSpec, now: SimTime) -> Result<(), Tes
         c.stats().first_fit_probes,
         c.stats().ect_column_refills,
     );
-    let frozen = c.estimate_new_at(probe, now);
-    let again = c.estimate_new_at(probe, now);
+    let frozen = c
+        .estimate_placement(probe, SimTime::ZERO, now)
+        .map(|p| p.ect);
+    let again = c
+        .estimate_placement(probe, SimTime::ZERO, now)
+        .map(|p| p.ect);
     prop_assert_eq!(mutable, frozen, "snapshot diverged from mutable estimate");
     prop_assert_eq!(frozen, again, "snapshot answer is not stable");
     let after = (

@@ -2,22 +2,26 @@
 //!
 //! One binary, two ECT engine configurations, identical grids:
 //!
-//! * **mutable** — the historical dry-run path, reconstructed through
-//!   the doc-hidden toggle: `EctView` answers each (job, cluster) cache
-//!   miss with an individual `Cluster::estimate_new(&mut)` call, every
-//!   descent restarting from the policy's tail floor.
-//! * **snapshot** — the default: the cluster freezes its availability
-//!   profile behind an O(1) copy-on-write snapshot, `EctView` fills
-//!   whole columns in one batched pass, and a shared dominance frontier
-//!   lets later jobs resume their placement descent from floors earlier
-//!   jobs proved unreachable.
+//! * **mutable** — the historical path, reconstructed through the
+//!   doc-hidden toggle: `EctView` answers each (job, cluster) cache miss
+//!   with an individual `Cluster::estimate_new(&mut)` call, every descent
+//!   restarting from the policy's tail floor; every mutation drops the
+//!   whole column, and every remaining job is re-ranked at every
+//!   decision.
+//! * **snapshot** — the default incremental engine: the cluster freezes
+//!   its availability profile behind an O(1) copy-on-write snapshot,
+//!   `EctView` fills cold columns in one batched pass, keeps every entry
+//!   a slack certificate covers across submits (the rest resume their
+//!   descent from their old start), and re-ranks only the jobs whose
+//!   estimates changed.
 //!
 //! The workload drives single reallocation ticks over grids of 3/6/9
 //! sites with 128/512/2048 waiting jobs, under both paper algorithms
 //! and representative heuristics. For every layer the two
 //! configurations must produce **identical outcomes** — migrations,
-//! final queue contents and reservations are hashed and compared — and
-//! at the 512-deep layer the snapshot engine must run the tick at least
+//! final queue contents and reservations are hashed and compared, so
+//! certificate-kept entries are checked against full refills — and at
+//! the 512-deep layer the incremental engine must run the tick at least
 //! **1.5×** faster (summed over site counts and configs).
 //!
 //! Timings are the *minimum* of the measured passes (co-tenant noise on
@@ -25,7 +29,8 @@
 //! shrinks the workload (depths 128/512, one pass) and skips the
 //! speed-up assertion — byte-identity is still enforced at every layer
 //! that runs. Results land in `BENCH_realloc.json` (override with
-//! `BENCH_REALLOC_JSON`).
+//! `BENCH_REALLOC_JSON`), stamped with the host's CPU count (`nproc`)
+//! and the build profile, so trajectories compare like with like.
 
 use std::time::Instant;
 
@@ -210,6 +215,18 @@ fn main() {
     let mut json = grid_ser::Value::object();
     json.insert("schema", "bench-realloc/1");
     json.insert("quick", quick);
+    json.insert(
+        "nproc",
+        std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+    );
+    json.insert(
+        "profile",
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+    );
     let mut layers = Vec::new();
     // Per-depth (mutable, snapshot) totals for the contract.
     let mut totals: std::collections::BTreeMap<usize, (f64, f64)> = Default::default();
@@ -222,7 +239,7 @@ fn main() {
                 let (snap_ms, snap_digest) = measure(true, &g, cfg, passes);
                 assert_eq!(
                     mut_digest, snap_digest,
-                    "snapshot engine changed the answer: {s} sites, {depth} jobs, {name}"
+                    "incremental engine changed the answer: {s} sites, {depth} jobs, {name}"
                 );
                 let speedup = mut_ms / snap_ms.max(f64::MIN_POSITIVE);
                 println!(
@@ -261,7 +278,7 @@ fn main() {
         if depth == 512 && !quick {
             assert!(
                 speedup >= 1.5,
-                "snapshot engine must run the 512-deep tick >= 1.5x faster \
+                "incremental engine must run the 512-deep tick >= 1.5x faster \
                  (measured {speedup:.2}x)"
             );
         }

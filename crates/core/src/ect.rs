@@ -4,29 +4,84 @@
 //! each decision — that is their defining O(n²) behaviour. Semantically
 //! each examination asks the clusters for fresh estimates; operationally,
 //! an estimate can only change when the cluster it concerns changed. The
-//! [`EctView`] therefore memoises per-(job, cluster) estimates and
-//! invalidates exactly the columns a migration touched, preserving the
-//! heuristics' semantics while avoiding redundant dry-run placements.
+//! [`EctView`] therefore memoises per-(job, cluster) estimates, keeps
+//! every one a mutation provably did not move, and caches each job's
+//! heuristic ranking key until one of its estimates changes, preserving
+//! the heuristics' semantics while avoiding redundant dry-run placements
+//! and re-rankings.
 //!
-//! Since the snapshot engine landed, a column miss is answered in one
-//! *batched* pass ([`Cluster::estimate_new_batch`]): the cluster freezes
-//! its availability profile behind a copy-on-write snapshot, every alive
-//! job estimates against that frozen store, and a shared dominance
-//! frontier lets later (wider/longer) jobs resume their placement
-//! descent from floors earlier jobs proved unreachable.
-//! [`EctView::invalidate_cluster`] merely clears the column; the next
-//! query re-fills it lazily — against the *same* still-valid snapshot
-//! when the invalidation was cache hygiene rather than a real mutation.
+//! ## Columns and snapshots
+//!
+//! A cold column is answered in one *batched* pass
+//! ([`Cluster::estimate_placement_batch`]): the cluster freezes its
+//! availability profile behind a copy-on-write snapshot, every alive job
+//! estimates against that frozen store, and a shared dominance frontier
+//! lets later (wider/longer) jobs resume their placement descent from
+//! floors earlier jobs proved unreachable. Later misses are answered one
+//! entry at a time against the (re-)frozen snapshot.
+//!
+//! ## Slack certificates
+//!
+//! Each cached estimate of job *i* on cluster *c* records its start `sᵢ`,
+//! its noise-free end `eᵢ` and its *slack* `σᵢ`: the minimum free
+//! processor count over `[sᵢ, eᵢ)` minus the job's own processors. When
+//! the round submits a job of `p` processors to `c`, reserving `[s, e)`,
+//! and the cluster's frozen tail floor is then `F`, entry *i* stays
+//! exact when
+//!
+//! * `sᵢ ≥ F`, and
+//! * `[sᵢ, eᵢ)` misses `[s, e)`, or `σᵢ ≥ p` (then `σᵢ −= p`).
+//!
+//! Why that is exact: `sᵢ` was the first fit from the old floor `F₀ ≤ F`,
+//! so no start in `[F, sᵢ)` fitted before the submit, and the submit only
+//! took capacity away — none fits now. At `sᵢ` the window still holds the
+//! job: the reservation either misses it or leaves at least `σᵢ − p ≥ 0`
+//! processors spare. So the first fit from `F` is still `sᵢ`; the new
+//! slack is a lower bound, which keeps later certificates sound.
+//!
+//! Any other entry turns *stale*: it is re-probed when next read, its
+//! descent resuming from `max(sᵢ, F)` instead of `F`. That is exact for
+//! the same reason — within a round, capacity on that cluster only fell
+//! and its floor only rose, so nothing below the old start can fit. A
+//! stale entry that sees further submits before it is read keeps its
+//! start as that lower bound.
+//!
+//! The certificate needs both monotonicities, so it applies only where
+//! they hold by construction: clusters whose scheduler claims
+//! [`LocalScheduler::incremental_tail`](grid_batch::LocalScheduler::incremental_tail)
+//! (a tail submit never moves another reservation — FCFS, CBF) and that
+//! carry no ECT-noise hook (a noisy estimate is not a placement end).
+//! The view also checks that the frozen floor did not fall. Everywhere
+//! else — EASY and EASY-SJF, noisy sites, the source of an Algorithm 1
+//! migration (its capacity rises), custom mutations through
+//! [`EctView::invalidate_cluster`] — the whole column is dropped and
+//! re-probed from the floor. Debug builds re-probe every kept entry and
+//! every resumed probe from the floor and assert the same start.
+//!
+//! ## Row keys
+//!
+//! [`EctView::arg_best`] caches each live job's ranking key and
+//! recomputes it only when one of the job's estimates, or its current
+//! ECT, changed since it was keyed; every other row keeps its key, so a
+//! decision costs work proportional to what it changed.
+//!
+//! [`set_ect_snapshot_enabled`]`(false)` restores the historical path —
+//! per-entry `estimate_new(&mut)` dry-runs, whole-column invalidation,
+//! every row re-keyed at every selection. Answers are bit-identical
+//! either way; the `realloc` bench and the reallocation differential
+//! test use it as their oracle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use grid_batch::{Cluster, JobSpec};
+use grid_batch::{Cluster, JobSpec, Placement, SubmitError};
 use grid_des::SimTime;
 
-/// Process-wide switch for the snapshot-backed batched column fill.
-/// Disabling restores the historical per-entry `estimate_new(&mut)`
-/// path (benchmark baseline hook; estimates are bit-identical either
-/// way, only the probe sharing differs).
+/// Process-wide switch for the incremental ECT engine (snapshot-backed
+/// column fills, slack certificates, cached row keys). Disabling
+/// restores the historical per-entry `estimate_new(&mut)` path with
+/// whole-column invalidation (the oracle of the `realloc` bench and the
+/// differential tests; estimates are bit-identical either way). Read
+/// when a view is built.
 static ECT_SNAPSHOT: AtomicBool = AtomicBool::new(true);
 
 #[doc(hidden)]
@@ -55,53 +110,134 @@ pub enum ViewMode {
     Cancelled,
 }
 
+/// What a cached (job, cluster) entry knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EntryState {
+    /// Never estimated since the column was last dropped.
+    Unknown,
+    /// `ect`, `start` and `slack` describe the placement a probe from the
+    /// cluster's current floor would return.
+    Exact,
+    /// A submit broke the certificate: `start` is a lower bound the next
+    /// probe resumes from.
+    Stale,
+}
+
+/// One cached (job, cluster) estimate.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Estimate served to callers; `SimTime::MAX` means "cannot run
+    /// there". On certifiable clusters it equals the placement end.
+    ect: SimTime,
+    /// Noise-free placement start (`SimTime::MAX` when the job cannot run
+    /// there, so no reservation ever overlaps it).
+    start: SimTime,
+    /// Free processors left over `[start, ect)` ([`Placement::slack`]).
+    slack: u32,
+    state: EntryState,
+}
+
+impl Entry {
+    const UNKNOWN: Entry = Entry {
+        ect: SimTime::MAX,
+        start: SimTime::ZERO,
+        slack: 0,
+        state: EntryState::Unknown,
+    };
+
+    fn exact(placement: Option<Placement>) -> Entry {
+        match placement {
+            Some(p) => Entry {
+                ect: p.ect,
+                start: p.start,
+                slack: p.slack,
+                state: EntryState::Exact,
+            },
+            None => Entry {
+                ect: SimTime::MAX,
+                start: SimTime::MAX,
+                slack: 0,
+                state: EntryState::Exact,
+            },
+        }
+    }
+}
+
 /// Lazily filled ECT matrix over the remaining jobs of one round.
 pub struct EctView<'a> {
     clusters: &'a mut [Cluster],
     jobs: &'a [WaitingJob],
     now: SimTime,
     mode: ViewMode,
-    /// Which jobs are still in the round's working list.
-    alive: Vec<bool>,
+    /// Certificates and cached row keys in use ([`set_ect_snapshot_enabled`]
+    /// at construction); `false` is the historical path.
+    incremental: bool,
+    /// The round's remaining jobs, as ascending indices (submission
+    /// order).
+    live: Vec<usize>,
     /// Current ECT per job (`Queued`: live; `Cancelled`: pre-cancel
     /// snapshot, filled eagerly by the caller).
     cur: Vec<Option<SimTime>>,
-    /// `new_[job][cluster]`: cached dry-run estimate; inner `Option` is
-    /// "not cached", value `SimTime::MAX` means "cannot run there".
-    new_: Vec<Vec<Option<SimTime>>>,
+    /// Cached estimates, column-major: cluster `c`'s column is
+    /// `entries[c * n..(c + 1) * n]`, so a per-submit pass over one
+    /// column walks contiguous memory.
+    entries: Vec<Entry>,
     /// Per-cluster: column never batch-filled. A cold miss fills the
     /// whole column in one batched pass (every heuristic reads a cold
-    /// column in full at least once); after an invalidation the column
-    /// refills lazily per entry against the re-frozen snapshot instead.
-    /// Lazy wins on both access shapes: row-at-a-time heuristics (MCT)
-    /// never read most of a refilled column, and for the broad readers
-    /// the per-entry cost of a warm single — snapshot reuse plus a
-    /// precomputed tail floor — already matches the batched loop body.
+    /// column in full at least once); later misses are answered per
+    /// entry against the re-frozen snapshot instead. Per-entry wins on
+    /// both access shapes: row-at-a-time heuristics (MCT) never read
+    /// most of a column, and for the broad readers the per-entry cost of
+    /// a warm single — snapshot reuse plus a precomputed tail floor —
+    /// already matches the batched loop body.
     cold: Vec<bool>,
     /// Per-cluster: [`Cluster::prepare_estimates`] has run since the
-    /// last [`EctView::invalidate_cluster`], so warm singles can query
-    /// the frozen snapshot directly. Sound because the reallocation
-    /// algorithms invalidate through the view after every mutation —
-    /// the same contract the `new_` cache itself relies on.
+    /// last mutation, so warm singles can query the frozen snapshot
+    /// directly. Sound because the reallocation algorithms report every
+    /// mutation to the view — the same contract the entry cache itself
+    /// relies on.
     prepared: Vec<bool>,
+    /// Per-cluster frozen tail floor the column's entries are relative
+    /// to (read at every prepare).
+    floor: Vec<SimTime>,
+    /// Cached ranking key per job ([`EctView::arg_best`]).
+    keys: Vec<i128>,
+    /// Per job: an estimate or the current ECT changed since `keys` was
+    /// computed.
+    rekey: Vec<bool>,
 }
 
 impl<'a> EctView<'a> {
-    /// View for Algorithm 1 (jobs still queued).
-    pub fn queued(clusters: &'a mut [Cluster], jobs: &'a [WaitingJob], now: SimTime) -> Self {
+    fn new(
+        clusters: &'a mut [Cluster],
+        jobs: &'a [WaitingJob],
+        cur: Vec<Option<SimTime>>,
+        mode: ViewMode,
+        now: SimTime,
+    ) -> Self {
         let n = jobs.len();
         let k = clusters.len();
         EctView {
             clusters,
             jobs,
             now,
-            mode: ViewMode::Queued,
-            alive: vec![true; n],
-            cur: vec![None; n],
-            new_: vec![vec![None; k]; n],
+            mode,
+            incremental: ECT_SNAPSHOT.load(Ordering::Relaxed),
+            live: (0..n).collect(),
+            cur,
+            entries: vec![Entry::UNKNOWN; n * k],
             cold: vec![true; k],
             prepared: vec![false; k],
+            floor: vec![SimTime::ZERO; k],
+            keys: vec![0; n],
+            rekey: vec![true; n],
         }
+    }
+
+    /// View for Algorithm 1 (jobs still queued).
+    pub fn queued(clusters: &'a mut [Cluster], jobs: &'a [WaitingJob], now: SimTime) -> Self {
+        let n = jobs.len();
+        Self::new(clusters, jobs, vec![None; n], ViewMode::Queued, now)
     }
 
     /// View for Algorithm 2 (jobs cancelled; `pre_ects` is the snapshot of
@@ -113,19 +249,8 @@ impl<'a> EctView<'a> {
         now: SimTime,
     ) -> Self {
         assert_eq!(jobs.len(), pre_ects.len());
-        let n = jobs.len();
-        let k = clusters.len();
-        EctView {
-            clusters,
-            jobs,
-            now,
-            mode: ViewMode::Cancelled,
-            alive: vec![true; n],
-            cur: pre_ects.into_iter().map(Some).collect(),
-            new_: vec![vec![None; k]; n],
-            cold: vec![true; k],
-            prepared: vec![false; k],
-        }
+        let cur = pre_ects.into_iter().map(Some).collect();
+        Self::new(clusters, jobs, cur, ViewMode::Cancelled, now)
     }
 
     /// The round's jobs.
@@ -136,21 +261,64 @@ impl<'a> EctView<'a> {
     /// Remaining (not yet processed) job indices, ascending — i.e. in
     /// submission order, since callers sort the job list that way.
     pub fn alive_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.then_some(i))
+        self.live.iter().copied()
     }
 
     /// Count of remaining jobs.
     pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|a| **a).count()
+        self.live.len()
     }
 
     /// Remove job `i` from the working list.
     pub fn remove(&mut self, i: usize) {
-        debug_assert!(self.alive[i], "job removed twice");
-        self.alive[i] = false;
+        match self.live.binary_search(&i) {
+            Ok(pos) => {
+                self.live.remove(pos);
+            }
+            Err(_) => debug_assert!(false, "job removed twice"),
+        }
+    }
+
+    /// The remaining job minimising (`maximise == false`) or maximising
+    /// `key`, first index on ties (comparisons are strict); `None` when
+    /// the round is over.
+    ///
+    /// Keys are cached per job and recomputed only for jobs whose
+    /// estimates or current ECT changed since they were keyed, so `key`
+    /// must be a pure function of the job's view accessors
+    /// ([`cur_ect`](Self::cur_ect), [`new_ect`](Self::new_ect),
+    /// [`best_target`](Self::best_target), [`ect_options`](Self::ect_options),
+    /// [`jobs`](Self::jobs)), and every call on one view must rank by the
+    /// same key. Debug builds recompute every cached key and assert it
+    /// did not move.
+    pub fn arg_best(
+        &mut self,
+        mut key: impl FnMut(&mut Self, usize) -> i128,
+        maximise: bool,
+    ) -> Option<usize> {
+        let mut best: Option<(i128, usize)> = None;
+        for pos in 0..self.live.len() {
+            let i = self.live[pos];
+            let v = if self.rekey[i] || !self.incremental {
+                let v = key(self, i);
+                self.keys[i] = v;
+                self.rekey[i] = false;
+                v
+            } else {
+                let v = self.keys[i];
+                debug_assert_eq!(key(self, i), v, "cached key of job {i} went stale");
+                v
+            };
+            let better = match best {
+                None => true,
+                Some((b, _)) if maximise => v > b,
+                Some((b, _)) => v < b,
+            };
+            if better {
+                best = Some((v, i));
+            }
+        }
+        best.map(|(_, i)| i)
     }
 
     /// Current ECT of job `i` (live reservation or pre-cancel snapshot).
@@ -174,66 +342,75 @@ impl<'a> EctView<'a> {
         if self.mode == ViewMode::Queued && c == self.jobs[i].cluster {
             return None;
         }
-        let v = match self.new_[i][c] {
-            Some(v) => v,
-            None if ECT_SNAPSHOT.load(Ordering::Relaxed) => {
-                if self.cold[c] {
-                    self.fill_column(c, i);
-                    self.cold[c] = false;
-                    self.prepared[c] = true;
+        let at = c * self.jobs.len() + i;
+        let entry = self.entries[at];
+        let v = if entry.state == EntryState::Exact {
+            entry.ect
+        } else if !self.incremental {
+            let v = self.clusters[c]
+                .estimate_new(&self.jobs[i].spec, self.now)
+                .unwrap_or(SimTime::MAX);
+            // The historical path caches the value only; it never
+            // certifies.
+            self.entries[at] = Entry {
+                ect: v,
+                ..Entry::exact(None)
+            };
+            v
+        } else {
+            if self.cold[c] {
+                self.fill_column(c, i);
+            } else {
+                // Re-freeze only when a mutation came through the view
+                // since the last prepare; a stale entry resumes its
+                // descent from its old start.
+                if self.prepared[c] {
+                    self.clusters[c].note_snapshot_reuse();
                 } else {
-                    // Warm column, invalidated since its batched fill:
-                    // answer just this entry against the (possibly still
-                    // cached) frozen snapshot, re-freezing only when a
-                    // mutation came through the view since the last
-                    // prepare.
-                    if !self.prepared[c] {
-                        self.clusters[c].prepare_estimates(self.now);
-                        self.prepared[c] = true;
-                    } else {
-                        self.clusters[c].note_snapshot_reuse();
-                    }
-                    let est = self.clusters[c].estimate_new_at(&self.jobs[i].spec, self.now);
-                    self.new_[i][c] = Some(est.unwrap_or(SimTime::MAX));
+                    self.prepare(c);
                 }
-                self.new_[i][c].expect("column fill covers the queried job")
+                let placement =
+                    self.clusters[c].estimate_placement(&self.jobs[i].spec, entry.start, self.now);
+                self.entries[at] = Entry::exact(placement);
             }
-            None => {
-                let v = self.clusters[c]
-                    .estimate_new(&self.jobs[i].spec, self.now)
-                    .unwrap_or(SimTime::MAX);
-                self.new_[i][c] = Some(v);
-                v
-            }
+            self.entries[at].ect
         };
         (v != SimTime::MAX).then_some(v)
     }
 
-    /// Fill every missing entry of column `c` (plus the queried row
-    /// `want`, alive or not) in one batched snapshot pass. Estimates are
+    /// Freeze cluster `c` for dry-runs and record its tail floor.
+    fn prepare(&mut self, c: usize) {
+        self.clusters[c].prepare_estimates(self.now);
+        self.floor[c] = self.clusters[c].estimate_floor();
+        self.prepared[c] = true;
+    }
+
+    /// Fill every entry of cold column `c` (the alive rows plus the
+    /// queried row `want`) in one batched snapshot pass. Estimates are
     /// bit-identical to per-entry [`Cluster::estimate_new`] calls: every
     /// query in the pass shares the same frozen profile and the same
     /// tail-floor base, so the threaded dominance frontier only skips
     /// descent work, never changes an answer.
     fn fill_column(&mut self, c: usize, want: usize) {
         let queued = self.mode == ViewMode::Queued;
-        let wanted: Vec<Option<&JobSpec>> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let fill = (self.alive[i] || i == want)
-                    && self.new_[i][c].is_none()
-                    && !(queued && w.cluster == c);
-                fill.then_some(&w.spec)
-            })
-            .collect();
-        let ests = self.clusters[c].estimate_new_batch(wanted.iter().copied(), self.now);
-        for (i, est) in ests.into_iter().enumerate() {
-            if wanted[i].is_some() {
-                self.new_[i][c] = Some(est.unwrap_or(SimTime::MAX));
+        let mut wanted: Vec<Option<&JobSpec>> = vec![None; self.jobs.len()];
+        for i in self.live.iter().copied().chain([want]) {
+            let w = &self.jobs[i];
+            if !(queued && w.cluster == c) {
+                wanted[i] = Some(&w.spec);
             }
         }
+        let placements =
+            self.clusters[c].estimate_placement_batch(wanted.iter().copied(), self.now);
+        let column = &mut self.entries[c * self.jobs.len()..][..self.jobs.len()];
+        for (i, placement) in placements.into_iter().enumerate() {
+            if wanted[i].is_some() {
+                column[i] = Entry::exact(placement);
+            }
+        }
+        self.floor[c] = self.clusters[c].estimate_floor();
+        self.cold[c] = false;
+        self.prepared[c] = true;
     }
 
     /// Best migration target for job `i`: `(cluster, ect)` minimising the
@@ -295,22 +472,104 @@ impl<'a> EctView<'a> {
         }
     }
 
-    /// Invalidate every cached estimate involving cluster `c` (after a
-    /// cancel or a submit changed its queue).
-    pub fn invalidate_cluster(&mut self, c: usize) {
-        for (i, w) in self.jobs.iter().enumerate() {
-            if !self.alive[i] {
-                continue;
+    /// Submit job `i` to cluster `c` at the round's instant, keeping
+    /// the cache exact: entries of `c` that a slack certificate covers
+    /// survive, the rest turn stale (see the module docs); on clusters
+    /// the certificate does not apply to, the column is dropped.
+    /// Returns the reserved start.
+    pub fn submit(&mut self, i: usize, c: usize) -> Result<SimTime, SubmitError> {
+        let spec = self.jobs[i].spec;
+        let start = self.clusters[c].submit(spec, self.now)?;
+        if self.certifiable(c) {
+            self.certify(c, &spec, start);
+        } else {
+            self.invalidate_cluster(c);
+        }
+        Ok(start)
+    }
+
+    /// Cancel waiting job `i` on the cluster it is queued on (`Queued`
+    /// mode) and drop that cluster's column: the cancel frees capacity,
+    /// which no certificate covers. `None` if the job was not waiting
+    /// there.
+    pub fn cancel(&mut self, i: usize) -> Option<JobSpec> {
+        let w = self.jobs[i];
+        let job = self.clusters[w.cluster].cancel(w.spec.id, self.now)?;
+        self.invalidate_cluster(w.cluster);
+        Some(job)
+    }
+
+    /// `true` when a submit to `c` may keep entries by certificate.
+    fn certifiable(&self, c: usize) -> bool {
+        let cluster = &self.clusters[c];
+        self.incremental
+            && !self.cold[c]
+            && cluster.ect_noise().is_none()
+            && cluster.policy().scheduler().incremental_tail()
+    }
+
+    /// Apply the slack certificate to column `c` after `spec` was
+    /// submitted there with reserved start `start`.
+    fn certify(&mut self, c: usize, spec: &JobSpec, start: SimTime) {
+        let scaled = self.clusters[c].scale_job(spec);
+        let (s, e, p) = (start, start + scaled.walltime, scaled.procs);
+        let old_floor = self.floor[c];
+        self.prepare(c);
+        let floor = self.floor[c];
+        if floor < old_floor {
+            self.invalidate_cluster(c);
+            return;
+        }
+        let n = self.jobs.len();
+        let queued = self.mode == ViewMode::Queued;
+        let column = &mut self.entries[c * n..][..n];
+        for &i in &self.live {
+            let entry = &mut column[i];
+            if entry.state == EntryState::Exact {
+                let overlaps = entry.start < e && s < entry.ect;
+                if entry.start < floor || (overlaps && entry.slack < p) {
+                    entry.state = EntryState::Stale;
+                    self.rekey[i] = true;
+                } else if overlaps {
+                    entry.slack -= p;
+                }
             }
-            self.new_[i][c] = None;
-            if self.mode == ViewMode::Queued && w.cluster == c {
+            // Tail submits move no reservation, but the current ECT is
+            // re-read all the same, as the historical path does.
+            if queued && self.jobs[i].cluster == c {
+                self.cur[i] = None;
+                self.rekey[i] = true;
+            }
+        }
+        if cfg!(debug_assertions) {
+            for &i in &self.live {
+                let entry = column[i];
+                if entry.state == EntryState::Exact && entry.ect != SimTime::MAX {
+                    self.clusters[c].debug_check_placement(&self.jobs[i].spec, entry.start);
+                }
+            }
+        }
+    }
+
+    /// Invalidate every cached estimate involving cluster `c` (after a
+    /// cancel or a submit changed its queue). Custom strategies that
+    /// mutate a cluster through [`EctView::cluster_mut`] must call this.
+    pub fn invalidate_cluster(&mut self, c: usize) {
+        let n = self.jobs.len();
+        let queued = self.mode == ViewMode::Queued;
+        let column = &mut self.entries[c * n..][..n];
+        for &i in &self.live {
+            column[i] = Entry::UNKNOWN;
+            self.rekey[i] = true;
+            if queued && self.jobs[i].cluster == c {
                 self.cur[i] = None;
             }
         }
         self.prepared[c] = false;
     }
 
-    /// Mutable access to a cluster (for the migration itself).
+    /// Mutable access to a cluster (for custom migrations; report them
+    /// through [`EctView::invalidate_cluster`]).
     pub fn cluster_mut(&mut self, c: usize) -> &mut Cluster {
         &mut self.clusters[c]
     }
@@ -493,6 +752,41 @@ mod tests {
             batched_clusters[2].stats().ect_snapshot_reuses >= 1,
             "the lazy refill re-used the frozen snapshot"
         );
+    }
+
+    /// A submit keeps every entry its slack certificate covers — served
+    /// again without a probe — and re-probes the rest.
+    #[test]
+    fn certificates_keep_covered_entries_and_reprobe_the_rest() {
+        let mut c0 = Cluster::new(ClusterSpec::new("c0", 8, 1.0), BatchPolicy::Fcfs);
+        let c1 = Cluster::new(ClusterSpec::new("c1", 8, 1.0), BatchPolicy::Fcfs);
+        c0.submit(JobSpec::new(100, 0, 8, 1000, 1000), SimTime(0))
+            .unwrap();
+        c0.start_due(SimTime(0));
+        let jobs: Vec<WaitingJob> = [(1, 2), (2, 2), (3, 7)]
+            .into_iter()
+            .map(|(id, procs)| WaitingJob {
+                spec: JobSpec::new(id, id, procs, 50, 100),
+                cluster: 0,
+            })
+            .collect();
+        let mut clusters = vec![c0, c1];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, vec![SimTime(1100); 3], SimTime(0));
+        let probes = |v: &mut EctView<'_>| {
+            let now = v.now();
+            let c1 = v.cluster_mut(1);
+            c1.prepare_estimates(now); // folds the snapshot's probes in
+            c1.stats().first_fit_probes
+        };
+        // The cold fill places all three at 0 on the idle site: slack 6,
+        // 6 and 1.
+        assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
+        v.submit(0, 1).unwrap(); // 2 procs over [0, 100)
+        let before = probes(&mut v);
+        assert_eq!(v.new_ect(1, 1), Some(SimTime(100)), "slack 6 covers 2");
+        assert_eq!(probes(&mut v), before, "kept entries need no probe");
+        assert_eq!(v.new_ect(2, 1), Some(SimTime(200)), "slack 1 does not");
+        assert_eq!(probes(&mut v), before + 1, "the stale entry re-probes");
     }
 
     #[test]

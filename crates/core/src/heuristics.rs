@@ -16,6 +16,10 @@
 //!   two best ECTs (the task that would "suffer" most from not getting its
 //!   best placement).
 //!
+//! The five offline orderings select through [`EctView::arg_best`],
+//! which keeps each job's ranking key until one of its estimates
+//! changes, so a decision re-ranks only the rows it touched.
+//!
 //! Each of these is an [`OrderingHeuristic`] implementation; a
 //! [`Heuristic`] is a `Copy` handle into the string-keyed registry
 //! ([`Heuristic::resolve`]), so campaign specs select heuristics by name
@@ -272,34 +276,6 @@ fn gain(view: &mut EctView<'_>, i: usize) -> i128 {
     }
 }
 
-/// Index minimising (or maximising) `key`, first index on ties.
-fn arg_best(alive: &[usize], mut key: impl FnMut(usize) -> i128, maximise: bool) -> Option<usize> {
-    let mut best: Option<(i128, usize)> = None;
-    for &i in alive {
-        let v = key(i);
-        let better = match best {
-            None => true,
-            Some((bv, _)) => {
-                if maximise {
-                    v > bv
-                } else {
-                    v < bv
-                }
-            }
-        };
-        if better {
-            best = Some((v, i));
-        }
-    }
-    best.map(|(_, i)| i)
-}
-
-/// The alive indices, or `None` when the round is over.
-fn alive(view: &EctView<'_>) -> Option<Vec<usize>> {
-    let alive: Vec<usize> = view.alive_indices().collect();
-    (!alive.is_empty()).then_some(alive)
-}
-
 // ---------------------------------------------------------------------
 // The paper's six orderings
 // ---------------------------------------------------------------------
@@ -316,7 +292,7 @@ impl OrderingHeuristic for MctOrder {
         false
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        alive(view)?.first().copied()
+        view.alive_indices().next()
     }
 }
 
@@ -329,8 +305,7 @@ impl OrderingHeuristic for MinMinOrder {
         "MinMin"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(&alive, |i| view.best_ect(i).as_secs() as i128, false)
+        view.arg_best(|v, i| v.best_ect(i).as_secs() as i128, false)
     }
 }
 
@@ -343,8 +318,7 @@ impl OrderingHeuristic for MaxMinOrder {
         "MaxMin"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(&alive, |i| view.best_ect(i).as_secs() as i128, true)
+        view.arg_best(|v, i| v.best_ect(i).as_secs() as i128, true)
     }
 }
 
@@ -357,8 +331,7 @@ impl OrderingHeuristic for MaxGainOrder {
         "MaxGain"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(&alive, |i| gain(view, i), true)
+        view.arg_best(gain, true)
     }
 }
 
@@ -371,17 +344,15 @@ impl OrderingHeuristic for MaxRelGainOrder {
         "MaxRelGain"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(
-            &alive,
-            |i| {
-                let g = gain(view, i);
+        view.arg_best(
+            |v, i| {
+                let g = gain(v, i);
                 if g == i128::MIN {
                     return i128::MIN; // no target at all
                 }
                 // Scale by 2^20 before the integer division so small
                 // per-processor differences survive.
-                let procs = i128::from(view.jobs()[i].spec.procs.max(1));
+                let procs = i128::from(v.jobs()[i].spec.procs.max(1));
                 (g << 20) / procs
             },
             true,
@@ -411,11 +382,9 @@ impl OrderingHeuristic for SufferageOrder {
         "Sufferage"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(
-            &alive,
-            |i| {
-                let options = view.ect_options(i);
+        view.arg_best(
+            |v, i| {
+                let options = v.ect_options(i);
                 match (options.first(), options.get(self.rank)) {
                     (Some(best), Some(alt)) => (alt.as_secs() - best.as_secs()) as i128,
                     // Too few options to suffer at this rank.

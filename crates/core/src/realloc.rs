@@ -491,17 +491,11 @@ pub(crate) fn run_no_cancel(
             if ect + cfg.threshold >= cur {
                 report.rejected += 1;
             } else {
-                let job = view
-                    .cluster_mut(w.cluster)
-                    .cancel(w.spec.id, now)
-                    .expect("selected job must still be waiting");
+                view.cancel(i).expect("selected job must still be waiting");
                 let start = view
-                    .cluster_mut(target)
-                    .submit(job, now)
+                    .submit(i, target)
                     .expect("target estimated, so the job must fit");
                 check_contract(report, view.cluster_mut(target), &w.spec, start, ect);
-                view.invalidate_cluster(w.cluster);
-                view.invalidate_cluster(target);
                 report.migrations.push(Migration {
                     job: w.spec.id,
                     from: w.cluster,
@@ -543,11 +537,9 @@ fn run_cancel_all(
             .expect("the origin cluster always fits the job");
         report.attempted += 1;
         let start = view
-            .cluster_mut(target)
-            .submit(w.spec, now)
+            .submit(i, target)
             .expect("estimated target must accept the job");
         check_contract(report, view.cluster_mut(target), &w.spec, start, ect);
-        view.invalidate_cluster(target);
         if target != w.cluster {
             report.migrations.push(Migration {
                 job: w.spec.id,
