@@ -706,6 +706,28 @@ impl AvailTree {
         it
     }
 
+    /// Iterator over the breakpoints strictly after `t`, in time order:
+    /// one O(height) descent seeds the in-order stack at the successor
+    /// of `t`, so a sweep starting mid-timeline never walks the prefix.
+    pub fn breakpoints_after(&self, t: SimTime) -> Breakpoints<'_> {
+        let mut it = Breakpoints {
+            tree: self,
+            stack: Vec::with_capacity(16),
+        };
+        let (mut x, mut acc) = (self.root, 0);
+        while x != NIL {
+            let n = self.node(x);
+            if n.t > t {
+                it.stack.push((x, acc));
+                x = n.left;
+            } else {
+                x = n.right;
+            }
+            acc += n.lazy;
+        }
+        it
+    }
+
     /// Check every structural invariant (test helper).
     pub fn assert_invariants(&self) {
         let points: Vec<(SimTime, u32)> = self.breakpoints().collect();

@@ -230,7 +230,9 @@ pub struct ClusterStats {
     pub suffix_repairs: u64,
     /// Number of `Profile::first_fit` placement queries answered for this
     /// cluster — scheduling *and* estimation dry-runs, so campaigns can
-    /// report total scheduler effort.
+    /// report total scheduler effort. One placement of the FCFS
+    /// end-event sweep counts as one probe, as the per-job first fit it
+    /// replaces did.
     pub first_fit_probes: u64,
     /// Inline→tree promotions of the adaptive availability profile
     /// (the backend crossed [`default_crossover`](crate::profile::default_crossover)
@@ -1249,21 +1251,17 @@ impl Cluster {
                     let repair_ops = 2 * (self.q_slot.len() - from);
                     let rebuild_ops = self.running.len() + self.q_slot.len() + 1;
                     if repair_ops <= rebuild_ops {
-                        let profile = self.profile.as_mut().expect("warm profile present");
                         // The suffix reservations are still carved
-                        // from before the mutation; give them back,
-                        // then re-place them. `SimTime::MAX` marks a
-                        // job submitted onto the dirty queue whose
-                        // reservation was never carved.
-                        for i in from..self.q_slot.len() {
-                            if self.q_reserved[i] != SimTime::MAX {
-                                profile.release(
-                                    self.q_reserved[i],
-                                    self.q_walltime[i],
-                                    self.q_procs[i],
-                                );
-                            }
-                        }
+                        // from before the mutation; give them back in
+                        // one batch, then re-place them. `SimTime::MAX`
+                        // marks a job submitted onto the dirty queue
+                        // whose reservation was never carved.
+                        let carved: Vec<_> = (from..self.q_slot.len())
+                            .filter(|&i| self.q_reserved[i] != SimTime::MAX)
+                            .map(|i| (self.q_reserved[i], self.q_walltime[i], self.q_procs[i]))
+                            .collect();
+                        let profile = self.profile.as_mut().expect("warm profile present");
+                        profile.release_all(&carved);
                         self.policy.scheduler().schedule(
                             profile,
                             QueueScan {
@@ -1338,6 +1336,15 @@ impl Cluster {
                 ],
             );
         }
+    }
+
+    /// The availability profile behind the schedule, brought up to date
+    /// at `now` (test hook: differential suites compare it with an
+    /// independent rebuild).
+    #[doc(hidden)]
+    pub fn schedule_profile(&mut self, now: SimTime) -> &Profile {
+        self.ensure_schedule(now);
+        self.profile.as_ref().expect("schedule just ensured")
     }
 
     /// Validate internal invariants (test helper): capacity is never

@@ -311,6 +311,60 @@ impl Profile {
         self.maybe_promote();
     }
 
+    /// Carve every window of `windows` (`(start, dur, procs)` triples) at
+    /// once — the result equals calling [`Profile::reserve`] on each in
+    /// turn, breakpoint for breakpoint. The inline backend applies the
+    /// whole batch in one merge-and-coalesce pass over its buffer
+    /// (O(P + W log W) instead of O(P) per window); the tree applies the
+    /// windows one range update at a time.
+    ///
+    /// # Panics
+    /// Panics like the sequential calls would: when a window starts
+    /// before the origin, or when the batch drives the free count
+    /// negative anywhere (reservations only subtract, so the sequence
+    /// fails exactly when its final state does).
+    pub fn reserve_all(&mut self, windows: &[(SimTime, Duration, u32)]) {
+        self.apply_all(windows, false);
+    }
+
+    /// Give every window of `windows` back at once — the batched
+    /// [`Profile::release`], with the same equivalence and panic parity
+    /// as [`Profile::reserve_all`] (releases only add, so the sequence
+    /// over-releases exactly when its final state exceeds `total`).
+    pub fn release_all(&mut self, windows: &[(SimTime, Duration, u32)]) {
+        self.apply_all(windows, true);
+    }
+
+    fn apply_all(&mut self, windows: &[(SimTime, Duration, u32)], release: bool) {
+        let origin = self.origin();
+        for &(start, dur, procs) in windows {
+            assert!(
+                dur == Duration::ZERO || procs == 0 || start >= origin,
+                "{} at {start} before profile origin {origin}",
+                if release { "release" } else { "reservation" }
+            );
+        }
+        if windows.is_empty() {
+            return;
+        }
+        match Arc::make_mut(&mut self.repr) {
+            Repr::Small(s) => s.apply_all(windows, release),
+            Repr::Tree(t) => {
+                for &(start, dur, procs) in windows {
+                    if dur == Duration::ZERO || procs == 0 {
+                        continue;
+                    }
+                    if release {
+                        t.release(start, dur, procs);
+                    } else {
+                        t.reserve(start, dur, procs);
+                    }
+                }
+            }
+        }
+        self.maybe_promote();
+    }
+
     /// Earliest `t >= after` such that at least `procs` processors are free
     /// for the whole window `[t, t + dur)`. Always succeeds provided
     /// `procs <= total` (the tail of the profile is eventually free).
@@ -371,6 +425,19 @@ impl Profile {
         }
     }
 
+    /// The breakpoints strictly after `t`, in time order, read lazily: a
+    /// binary search on the inline buffer, one descent on the tree.
+    pub fn breakpoints_after(&self, t: SimTime) -> ProfileBreakpoints<'_> {
+        match &*self.repr {
+            Repr::Small(s) => {
+                let points = s.points();
+                let i = points.partition_point(|p| p.0 <= t);
+                ProfileBreakpoints::Small(points[i..].iter())
+            }
+            Repr::Tree(tr) => ProfileBreakpoints::Tree(tr.breakpoints_after(t)),
+        }
+    }
+
     /// The breakpoints collected into a `Vec` (convenience for tests and
     /// rendering; prefer [`Profile::breakpoints`] for streaming access).
     pub fn points(&self) -> Vec<(SimTime, u32)> {
@@ -382,6 +449,13 @@ impl Profile {
     #[doc(hidden)]
     pub fn take_probes(&self) -> u64 {
         self.probes.replace(0)
+    }
+
+    /// Count one placement a scheduler answered without calling
+    /// [`Profile::first_fit`] (the FCFS end-event sweep), so
+    /// `first_fit_probes` keeps counting one probe per placement.
+    pub(crate) fn note_probe(&self) {
+        self.probes.set(self.probes.get() + 1);
     }
 
     /// Drain the small→tree promotion counter
@@ -618,14 +692,15 @@ impl PointBuf {
         }
     }
 
-    fn truncate(&mut self, n: usize) {
+    fn remove(&mut self, i: usize) {
         match self {
-            PointBuf::Inline { len, .. } => {
-                if n < *len as usize {
-                    *len = n as u8;
-                }
+            PointBuf::Inline { len, arr } => {
+                arr.copy_within(i + 1..*len as usize, i);
+                *len -= 1;
             }
-            PointBuf::Spill(v) => v.truncate(n),
+            PointBuf::Spill(v) => {
+                v.remove(i);
+            }
         }
     }
 
@@ -727,7 +802,7 @@ impl SmallProfile {
             );
             p.1 -= procs;
         }
-        self.coalesce();
+        self.coalesce_seams(si, ei);
     }
 
     /// Same caller guarantees as [`SmallProfile::reserve`].
@@ -745,7 +820,59 @@ impl SmallProfile {
             );
             p.1 += procs;
         }
-        self.coalesce();
+        self.coalesce_seams(si, ei);
+    }
+
+    /// The batched [`SmallProfile::reserve`] / [`SmallProfile::release`]:
+    /// turn the windows into signed steps, sort them, and merge them with
+    /// the buffer in one pass, keeping the first breakpoint of every run
+    /// of equal free counts. Windows of zero length or width contribute
+    /// cancelling (or zero) steps, so they are no-ops as sequentially.
+    fn apply_all(&mut self, windows: &[(SimTime, Duration, u32)], release: bool) {
+        let mut steps: Vec<(SimTime, i64)> = Vec::with_capacity(2 * windows.len());
+        for &(start, dur, procs) in windows {
+            let d = if release { 1 } else { -1 } * i64::from(procs);
+            steps.push((start, d));
+            steps.push((start + dur, -d));
+        }
+        steps.sort_unstable_by_key(|s| s.0);
+        let old = self.points();
+        let mut out: Vec<(SimTime, u32)> = Vec::with_capacity(old.len() + steps.len());
+        let (mut i, mut j) = (0, 0);
+        let (mut base, mut shift) = (0i64, 0i64);
+        while i < old.len() || j < steps.len() {
+            let t = match (old.get(i), steps.get(j)) {
+                (Some(p), Some(s)) => p.0.min(s.0),
+                (Some(p), None) => p.0,
+                (None, Some(s)) => s.0,
+                (None, None) => unreachable!("loop condition"),
+            };
+            if i < old.len() && old[i].0 == t {
+                base = i64::from(old[i].1);
+                i += 1;
+            }
+            while j < steps.len() && steps[j].0 == t {
+                shift += steps[j].1;
+                j += 1;
+            }
+            let free = base + shift;
+            if release {
+                assert!(
+                    free <= i64::from(self.total),
+                    "over-release: batch leaves {free} procs free at {t}, of {}",
+                    self.total
+                );
+            } else {
+                assert!(
+                    free >= 0,
+                    "over-reservation: batch leaves {free} procs free at {t}"
+                );
+            }
+            if out.last().is_none_or(|&(_, f)| i64::from(f) != free) {
+                out.push((t, free as u32));
+            }
+        }
+        self.buf = PointBuf::Spill(out);
     }
 
     fn advance_origin(&mut self, now: SimTime) {
@@ -823,19 +950,21 @@ impl SmallProfile {
         }
     }
 
-    /// Merge adjacent breakpoints with equal free counts (keeps the first
-    /// of each run, like `Vec::dedup_by`).
-    fn coalesce(&mut self) {
-        let s = self.buf.as_mut_slice();
-        let n = s.len();
-        let mut w = 1;
-        for r in 1..n {
-            if s[r].1 != s[w - 1].1 {
-                s[w] = s[r];
-                w += 1;
-            }
+    /// Re-coalesce after shifting the free counts of `[si, ei)`: only the
+    /// steps at the two seams `(si-1, si)` and `(ei-1, ei)` can have
+    /// vanished — every interior step kept its difference, both sides
+    /// having shifted alike — so dropping a breakpoint that now repeats
+    /// its predecessor there restores the `Vec::dedup_by` form. `ei` goes
+    /// first so `si` stays a valid index; the origin (`si == 0`) stays.
+    fn coalesce_seams(&mut self, si: usize, ei: usize) {
+        let s = self.buf.as_slice();
+        if s[ei].1 == s[ei - 1].1 {
+            self.buf.remove(ei);
         }
-        self.buf.truncate(w);
+        let s = self.buf.as_slice();
+        if si > 0 && s[si].1 == s[si - 1].1 {
+            self.buf.remove(si);
+        }
     }
 
     fn assert_invariants(&self) {

@@ -72,7 +72,28 @@
 //! of restarting at `now`, with byte-identical results. Placements that
 //! actually rode a raised floor are counted via
 //! [`Profile::note_batch_fast`].
+//!
+//! ## FCFS end-event sweep
+//!
+//! FCFS needs no window search at all. Its starts are non-decreasing in
+//! queue order, so every reservation the profile holds when job `i` is
+//! placed — running jobs, an outage block, `queue[..i]` — starts at or
+//! before the placement floor (the previous job's start, or `now`). Past
+//! the floor free capacity therefore never falls (*monotone tail*), and
+//! a job's first fit is simply the first instant at which enough
+//! reservations have ended. [`FcfsScheduler`] rebuilds a suffix as one
+//! sweep over those rising steps: the profile's own breakpoints after
+//! the floor, read lazily ([`Profile::breakpoints_after`]), merged with a
+//! min-heap of the ends of the jobs it has just placed. The new windows
+//! are carved in one batch ([`Profile::reserve_all`]). A rebuild of `Q`
+//! jobs over `P` breakpoints costs O((P + Q) log Q) instead of one
+//! first-fit and one reservation — O(P) each on the inline backend — per
+//! job. The sweep asserts the monotone tail as it reads the steps and
+//! counts one `first_fit_probes` probe per placement, like the first-fit
+//! loop it replaces.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -619,6 +640,13 @@ impl std::hash::Hash for BatchPolicy {
 // ---------------------------------------------------------------------
 
 /// First-come-first-served (no back-filling).
+///
+/// Placement relies on the *monotone tail*: every reservation in the
+/// profile starts at or before the placement floor, so free capacity
+/// only rises after it and each job starts at the first instant enough
+/// capacity has been released (see the module docs, "FCFS end-event
+/// sweep"). The same ordering makes the last queued reservation the
+/// [`tail_floor`](LocalScheduler::tail_floor), read in O(1).
 #[derive(Debug)]
 pub struct FcfsScheduler;
 
@@ -639,28 +667,70 @@ impl LocalScheduler for FcfsScheduler {
     }
 
     fn tail_floor(&self, reserved: &[SimTime], now: SimTime) -> SimTime {
-        reserved
-            .iter()
-            .copied()
-            .max()
-            .map_or(now, |last| last.max(now))
+        // Starts are non-decreasing in queue order (`check_invariants`),
+        // so the last reservation is the latest one.
+        debug_assert_eq!(reserved.last(), reserved.iter().max());
+        reserved.last().map_or(now, |&last| last.max(now))
     }
 
     fn schedule(&self, profile: &mut Profile, queue: QueueScan<'_>, from: usize, now: SimTime) {
-        // Start times are non-decreasing in queue order; the floor chains
-        // through the previous job's start (FCFS's own batch fast path —
-        // the dominance frontier cannot beat it).
-        let mut prev_start = if from == 0 {
+        // Every reservation the profile holds starts at or before
+        // `floor`, so past it free capacity rises only at the profile's
+        // own steps and at the ends of this sweep's placements.
+        let floor = if from == 0 {
             now
         } else {
             queue.reserved[from - 1].max(now)
         };
+        let total = profile.total();
+        let mut windows = Vec::with_capacity(queue.len() - from);
+        let mut steps = profile.breakpoints_after(floor).peekable();
+        // `level` is the profile's own free count at `at`; `free` also
+        // subtracts the placements of this sweep still running there.
+        let mut level = profile.free_at(floor);
+        let mut free = level;
+        let mut ends: BinaryHeap<Reverse<(SimTime, u32)>> = BinaryHeap::new();
+        let mut at = floor;
         for i in from..queue.len() {
-            let start = profile.first_fit(prev_start, queue.walltime[i], queue.procs[i]);
-            profile.reserve(start, queue.walltime[i], queue.procs[i]);
-            queue.reserved[i] = start;
-            prev_start = start;
+            let (procs, walltime) = (queue.procs[i], queue.walltime[i]);
+            assert!(
+                procs <= total,
+                "job needs {procs} procs, cluster has {total}"
+            );
+            assert!(
+                walltime > Duration::ZERO,
+                "placement window must be non-empty"
+            );
+            profile.note_probe();
+            while free < procs {
+                let next_step = steps.peek().map(|&(t, _)| t);
+                let next_end = ends.peek().map(|&Reverse((t, _))| t);
+                at = match (next_step, next_end) {
+                    (Some(s), Some(e)) => s.min(e),
+                    (s, e) => s.or(e).expect("profile tail must have free >= procs"),
+                };
+                while let Some((_, v)) = steps.next_if(|&(t, _)| t == at) {
+                    assert!(
+                        v >= level,
+                        "FCFS sweep: free capacity falls at {at}, after the placement floor {floor}"
+                    );
+                    free += v - level;
+                    level = v;
+                }
+                while let Some(&Reverse((end, p))) = ends.peek() {
+                    if end != at {
+                        break;
+                    }
+                    free += p;
+                    ends.pop();
+                }
+            }
+            free -= procs;
+            ends.push(Reverse((at + walltime, procs)));
+            queue.reserved[i] = at;
+            windows.push((at, walltime, procs));
         }
+        profile.reserve_all(&windows);
     }
 
     fn check_invariants(&self, reserved: &[SimTime]) {

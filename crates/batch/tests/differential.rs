@@ -13,9 +13,18 @@
 //! unreserved window) panic identically on both backends and are pinned
 //! by `should_panic` unit tests in `profile.rs` — a panicking oracle
 //! cannot be compared in-line here.
+//!
+//! The batched carving entry points (`Profile::reserve_all` /
+//! `release_all`) are pinned the same way at the end of the file: a
+//! batch must leave exactly the breakpoints, length and coalescing the
+//! same windows leave when applied one call at a time — on the inline
+//! buffer, on the tree, and across the promotion boundary — and must
+//! panic exactly when the sequential calls do.
 
 use grid_batch::{Profile, VecProfile};
 use grid_des::{Duration, SimTime};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 
 const TOTAL: u32 = 16;
@@ -201,4 +210,188 @@ proptest! {
         prop_assert_eq!(pair.tree.points(), pair.vec.points().to_vec());
         pair.check()?;
     }
+}
+
+/// A `(start, dur, procs)` carving window.
+type Window = (SimTime, Duration, u32);
+
+/// A profile of the given backend, grown by first-fit reservations from
+/// `seed` ops (so it has realistic stacked breakpoints), plus the ledger
+/// of what it holds.
+fn grown(mk: fn() -> Profile, seed: &[(u64, u64, u32)]) -> (Profile, Vec<Window>) {
+    let mut p = mk();
+    let mut live = Vec::new();
+    for &(a, b, c) in seed {
+        let dur = Duration(b);
+        let start = p.first_fit(SimTime(a), dur, c);
+        p.reserve(start, dur, c);
+        live.push((start, dur, c));
+    }
+    (p, live)
+}
+
+/// The three backends the batch entry points must agree on: the inline
+/// buffer (default crossover), the tree from birth, and a tiny
+/// crossover that promotes mid-sequence.
+const BACKENDS: [fn() -> Profile; 3] = [
+    || Profile::flat(TOTAL, SimTime(0)),
+    || Profile::flat_tree(TOTAL, SimTime(0)),
+    || Profile::flat_with_crossover(TOTAL, SimTime(0), 6),
+];
+
+/// Apply `windows` one call at a time and as one batch to clones of
+/// `base`; both must panic together or agree on every observable.
+fn batch_matches_sequence(
+    base: &Profile,
+    windows: &[Window],
+    release: bool,
+) -> Result<(), TestCaseError> {
+    let sequential = catch_unwind(AssertUnwindSafe(|| {
+        let mut p = base.clone();
+        for &(start, dur, procs) in windows {
+            if release {
+                p.release(start, dur, procs);
+            } else {
+                p.reserve(start, dur, procs);
+            }
+        }
+        p
+    }));
+    let batched = catch_unwind(AssertUnwindSafe(|| {
+        let mut p = base.clone();
+        if release {
+            p.release_all(windows);
+        } else {
+            p.reserve_all(windows);
+        }
+        p
+    }));
+    match (sequential, batched) {
+        (Ok(seq), Ok(bat)) => {
+            prop_assert_eq!(bat.points(), seq.points());
+            prop_assert_eq!(bat.len(), seq.len());
+            prop_assert_eq!(bat.origin(), seq.origin());
+            bat.assert_invariants();
+        }
+        (Err(_), Err(_)) => {}
+        (seq, bat) => {
+            return Err(TestCaseError::fail(format!(
+                "panic parity broken: sequential panicked {}, batch panicked {}",
+                seq.is_err(),
+                bat.is_err()
+            )))
+        }
+    }
+    Ok(())
+}
+
+fn seed_strategy() -> impl Strategy<Value = Vec<(u64, u64, u32)>> {
+    prop::collection::vec((0u64..400, 1u64..120, 1u32..=TOTAL), 0..40)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary windows — zero-length and zero-width ones included, many
+    /// overlapping enough to over-reserve — carved as one batch equal the
+    /// same windows carved one by one, or both panic.
+    #[test]
+    fn reserve_all_matches_sequential_reserves(
+        seed in seed_strategy(),
+        raw in prop::collection::vec((0u64..500, 0u64..150, 0u32..=TOTAL / 2), 0..30),
+    ) {
+        let windows: Vec<Window> =
+            raw.iter().map(|&(a, b, c)| (SimTime(a), Duration(b), c)).collect();
+        for mk in BACKENDS {
+            let (base, _) = grown(mk, &seed);
+            batch_matches_sequence(&base, &windows, false)?;
+        }
+    }
+
+    /// Releasing a subset of the held windows (plus, sometimes, one that
+    /// was never reserved) as one batch equals releasing them one by
+    /// one; the full ledger coalesces back to a single flat breakpoint.
+    #[test]
+    fn release_all_matches_sequential_releases(
+        seed in seed_strategy(),
+        keep in 0u64..4,
+        bogus in (0u64..8, 0u64..500, 1u64..100, 1u32..=TOTAL),
+    ) {
+        for mk in BACKENDS {
+            let (base, live) = grown(mk, &seed);
+            let mut windows: Vec<Window> = live
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| keep == 0 || (*i as u64) % 4 != keep)
+                .map(|(_, &w)| w)
+                .collect();
+            if bogus.0 == 0 {
+                windows.push((SimTime(bogus.1), Duration(bogus.2), bogus.3));
+            }
+            batch_matches_sequence(&base, &windows, true)?;
+            if keep == 0 && bogus.0 != 0 {
+                let mut flat = base.clone();
+                flat.release_all(&windows);
+                prop_assert_eq!(flat.points(), vec![(SimTime(0), TOTAL)]);
+            }
+        }
+    }
+}
+
+/// The batch checks every window against the origin, like `reserve`.
+#[test]
+#[should_panic(expected = "before profile origin")]
+fn reserve_all_rejects_windows_before_the_origin() {
+    let mut p = Profile::flat(TOTAL, SimTime(0));
+    p.advance_origin(SimTime(50));
+    p.reserve_all(&[
+        (SimTime(60), Duration(5), 1),
+        (SimTime(40), Duration(20), 1),
+    ]);
+}
+
+/// Over-reservation and over-release panic on every backend.
+#[test]
+fn batches_panic_on_over_commitment_on_every_backend() {
+    for mk in BACKENDS {
+        let over = catch_unwind(AssertUnwindSafe(|| {
+            mk().reserve_all(&[
+                (SimTime(0), Duration(10), TOTAL),
+                (SimTime(9), Duration(3), 1),
+            ])
+        }));
+        let msg = over.expect_err("over-reservation must panic");
+        let text = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(text.contains("over-reservation"), "{text}");
+        let over = catch_unwind(AssertUnwindSafe(|| {
+            mk().release_all(&[(SimTime(0), Duration(10), 1)])
+        }));
+        let msg = over.expect_err("over-release must panic");
+        let text = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(text.contains("over-release"), "{text}");
+    }
+}
+
+/// A batch that crosses the crossover promotes once, and the promoted
+/// tree holds the sequential breakpoints.
+#[test]
+fn reserve_all_promotes_across_the_crossover() {
+    let windows: Vec<Window> = (0..10u64)
+        .map(|i| (SimTime(i * 10), Duration(5), (i % 3 + 1) as u32))
+        .collect();
+    let mut batch = Profile::flat_with_crossover(TOTAL, SimTime(0), 4);
+    let mut seq = Profile::flat_with_crossover(TOTAL, SimTime(0), 4);
+    batch.reserve_all(&windows);
+    for &(s, d, p) in &windows {
+        seq.reserve(s, d, p);
+    }
+    assert!(batch.backend_is_tree());
+    assert_eq!(batch.take_promotions(), 1);
+    assert_eq!(batch.points(), seq.points());
+    assert_eq!(
+        batch.len(),
+        20,
+        "ten disjoint windows, the first at the origin"
+    );
+    batch.assert_invariants();
 }
