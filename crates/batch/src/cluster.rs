@@ -37,6 +37,8 @@
 //! [`LocalScheduler`](crate::sched::LocalScheduler) trait; see the
 //! [`sched`](crate::sched) module for the registry.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use grid_des::{Duration, SimRng, SimTime};
@@ -192,6 +194,27 @@ impl JobSlab {
     }
 }
 
+/// Hashes a [`JobId`] with one multiply (Fibonacci hashing): ids are
+/// plain counters, so no keyed hash is needed for the membership set.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Process-wide switch for the completion-skip fast path (an early
 /// completion whose freed window admits no waiting job leaves the
 /// schedule untouched). Benchmark baseline hook; results are
@@ -232,7 +255,9 @@ pub struct ClusterStats {
     /// cluster — scheduling *and* estimation dry-runs, so campaigns can
     /// report total scheduler effort. One placement of the FCFS
     /// end-event sweep counts as one probe, as the per-job first fit it
-    /// replaces did.
+    /// replaces did, and so does each width an ECT width-table build
+    /// places ([`Cluster::estimate_width_starts`]): a build of `W`
+    /// widths counts `W` probes, in one merge.
     pub first_fit_probes: u64,
     /// Inline→tree promotions of the adaptive availability profile
     /// (the backend crossed [`default_crossover`](crate::profile::default_crossover)
@@ -246,9 +271,10 @@ pub struct ClusterStats {
     /// profile snapshot still valid (no mutation since it was taken), so
     /// the ECT dry-run pass reused it instead of re-freezing.
     pub ect_snapshot_reuses: u64,
-    /// Batched ECT column fills answered against the snapshot
-    /// ([`Cluster::estimate_placement_batch`] calls — one per per-cluster
-    /// column the reallocation round (re)filled).
+    /// Cold ECT columns filled against the snapshot: one per
+    /// per-cluster column a reallocation round filled in one pass — a
+    /// [`Cluster::estimate_placement_batch`] call, or the first build of
+    /// the round's width table ([`Cluster::note_column_refill`]).
     pub ect_column_refills: u64,
 }
 
@@ -370,6 +396,9 @@ pub struct Cluster {
     q_reserved: Vec<SimTime>,
     /// Enqueue instant per queue position.
     q_enqueued: Vec<SimTime>,
+    /// Ids of every queued or running job: the O(1) duplicate check of
+    /// [`Cluster::submit`].
+    present: HashSet<JobId, BuildHasherDefault<IdHasher>>,
     /// Availability profile including every queued reservation; `None` when
     /// stale (a mutation the scheduler cannot repair incrementally).
     profile: Option<Profile>,
@@ -432,6 +461,7 @@ impl Cluster {
             q_walltime: Vec::new(),
             q_reserved: Vec::new(),
             q_enqueued: Vec::new(),
+            present: HashSet::default(),
             profile: None,
             dirty_from: None,
             snapshot: None,
@@ -648,7 +678,12 @@ impl Cluster {
                 total: self.spec.procs,
             });
         }
-        if self.find_queued(job.id).is_some() || self.find_running(job.id).is_some() {
+        debug_assert_eq!(
+            self.present.contains(&job.id),
+            self.find_queued(job.id).is_some() || self.find_running(job.id).is_some(),
+            "membership set out of step with the queue and running set"
+        );
+        if !self.present.insert(job.id) {
             return Err(SubmitError::Duplicate(job.id));
         }
         // A real mutation: the frozen dry-run view (if any) is stale, and
@@ -698,6 +733,7 @@ impl Cluster {
         let idx = self.find_queued(id)?;
         self.invalidate_snapshot();
         let (job, scaled, reserved) = self.queue_remove(idx);
+        self.present.remove(&id);
         self.stats.canceled += 1;
         // A hole opened: later reservations may move earlier. When the
         // scheduler claims a byte-identical repair point for a cancel
@@ -919,6 +955,77 @@ impl Cluster {
         out
     }
 
+    /// The ECT *width table*: where a first fit from the frozen tail
+    /// floor `F` places a job of each width in `widths`, written to
+    /// `starts` (cleared first, one start per width).
+    ///
+    /// Only for schedulers that claim the
+    /// [`monotone_tail`](crate::sched::LocalScheduler::monotone_tail)
+    /// (FCFS): every reservation starts at or before `F`, so free
+    /// capacity only rises after it, and a `p`-wide job's first fit from
+    /// `F` is the first instant `≥ F` with `p` processors free, whatever
+    /// its walltime. With `widths` ascending, one merge over the frozen
+    /// breakpoints after `F` places them all; it asserts the monotone
+    /// tail at every step it reads. Each width counts as one
+    /// `first_fit_probes` probe and one `ect.estimate_new` estimate.
+    ///
+    /// The starts are noise-free placement starts: a job's estimate is
+    /// its width's start plus its scaled walltime, which equals
+    /// [`Cluster::estimate_placement`]'s ECT only when no [`EctNoise`]
+    /// hook is installed.
+    ///
+    /// # Panics
+    /// Panics if no snapshot is cached, if the scheduler does not claim
+    /// the monotone tail, if `widths` is not strictly ascending within
+    /// `1..=procs`, or if free capacity falls anywhere after the floor.
+    pub fn estimate_width_starts(&self, widths: &[u32], now: SimTime, starts: &mut Vec<SimTime>) {
+        assert!(
+            self.policy.scheduler().monotone_tail(),
+            "{}: width tables need a monotone-tail scheduler, not {}",
+            self.spec.name,
+            self.policy
+        );
+        let frozen = self.snapshot.as_ref().expect("prepare_estimates first");
+        debug_assert_eq!(frozen.now, now, "snapshot frozen at a different instant");
+        let floor = frozen.floor;
+        let mut steps = frozen.profile.breakpoints_after(floor);
+        let mut level = frozen.profile.free_at(floor);
+        let mut at = floor;
+        let mut prev = 0;
+        starts.clear();
+        for &width in widths {
+            assert!(
+                prev < width && width <= self.spec.procs,
+                "{}: widths must ascend within 1..={} (got {width} after {prev})",
+                self.spec.name,
+                self.spec.procs
+            );
+            prev = width;
+            while level < width {
+                let (t, free) = steps
+                    .next()
+                    .expect("every processor is free at the profile's tail");
+                assert!(
+                    free >= level,
+                    "{}: free capacity falls at {t}, after the tail floor {floor}",
+                    self.spec.name
+                );
+                (at, level) = (t, free);
+            }
+            starts.push(at);
+        }
+        frozen.profile.note_probes(widths.len() as u64);
+        self.obs.count("ect.estimate_new", widths.len() as u64);
+    }
+
+    /// Record one ECT column filled without
+    /// [`Cluster::estimate_placement_batch`] (a cold width-table build),
+    /// so `ect_column_refills` keeps counting one refill per cold column.
+    pub fn note_column_refill(&mut self) {
+        self.stats.ect_column_refills += 1;
+        self.obs.count("ect.column_refills", 1);
+    }
+
     /// `true` while a dry-run snapshot is cached (test hook: pins that
     /// mutations drop it and dry-runs do not).
     #[doc(hidden)]
@@ -960,6 +1067,7 @@ impl Cluster {
             .map(|&slot| self.slab.jobs[slot as usize])
             .collect();
         self.slab.free.append(&mut self.q_slot);
+        self.present.clear();
         self.q_procs.clear();
         self.q_walltime.clear();
         self.q_reserved.clear();
@@ -1050,6 +1158,7 @@ impl Cluster {
             .unwrap_or_else(|| panic!("job {id} not running on {}", self.spec.name));
         self.invalidate_snapshot();
         let r = self.running.remove(idx);
+        self.present.remove(&id);
         assert_eq!(r.end, now, "completion event fired at the wrong time");
         self.stats.completed += 1;
         if r.scaled.runtime >= r.scaled.walltime {

@@ -104,6 +104,19 @@ enum Repr {
     Tree(AvailTree),
 }
 
+impl Repr {
+    fn breakpoints_after(&self, t: SimTime) -> ProfileBreakpoints<'_> {
+        match self {
+            Repr::Small(s) => {
+                let points = s.points();
+                let i = points.partition_point(|p| p.0 <= t);
+                ProfileBreakpoints::Small(points[i..].iter())
+            }
+            Repr::Tree(tr) => ProfileBreakpoints::Tree(tr.breakpoints_after(t)),
+        }
+    }
+}
+
 impl Profile {
     /// A profile with all `total` processors free from `origin` onwards,
     /// using the process-default promotion crossover.
@@ -428,14 +441,7 @@ impl Profile {
     /// The breakpoints strictly after `t`, in time order, read lazily: a
     /// binary search on the inline buffer, one descent on the tree.
     pub fn breakpoints_after(&self, t: SimTime) -> ProfileBreakpoints<'_> {
-        match &*self.repr {
-            Repr::Small(s) => {
-                let points = s.points();
-                let i = points.partition_point(|p| p.0 <= t);
-                ProfileBreakpoints::Small(points[i..].iter())
-            }
-            Repr::Tree(tr) => ProfileBreakpoints::Tree(tr.breakpoints_after(t)),
-        }
+        self.repr.breakpoints_after(t)
     }
 
     /// The breakpoints collected into a `Vec` (convenience for tests and
@@ -574,6 +580,19 @@ impl ProfileSnapshot {
             Repr::Small(s) => s.min_free(start, dur),
             Repr::Tree(t) => t.min_free(start, dur),
         }
+    }
+
+    /// The frozen breakpoints strictly after `t`, in time order, read
+    /// lazily like [`Profile::breakpoints_after`].
+    pub fn breakpoints_after(&self, t: SimTime) -> ProfileBreakpoints<'_> {
+        self.repr.breakpoints_after(t)
+    }
+
+    /// Count `n` placements answered without a first-fit call (an ECT
+    /// width-table build), so `first_fit_probes` keeps counting one
+    /// probe per placement.
+    pub(crate) fn note_probes(&self, n: u64) {
+        self.probes.set(self.probes.get() + n);
     }
 
     /// Time of the snapshot's first breakpoint.

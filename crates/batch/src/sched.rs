@@ -265,6 +265,20 @@ pub trait LocalScheduler: std::fmt::Debug + Sync {
         false
     }
 
+    /// `true` when every reservation the profile holds starts at or
+    /// before [`tail_floor`](Self::tail_floor) (the *monotone tail*: free
+    /// capacity never falls after the floor), so a tail job's first fit
+    /// depends on its width alone. ECT width tables
+    /// ([`Cluster::estimate_width_starts`](crate::Cluster::estimate_width_starts))
+    /// rely on it.
+    ///
+    /// **Opt-in**, like [`incremental_tail`](Self::incremental_tail);
+    /// FCFS claims it. Claiming it wrongly trips the width tables' own
+    /// assertion on the first falling step they read.
+    fn monotone_tail(&self) -> bool {
+        false
+    }
+
     /// Given a [`QueueDelta`] describing a mutation (cancel at an index,
     /// early completion, aggressive tail submission), the smallest index
     /// a warm-profile suffix repair may start from so that re-placing
@@ -659,6 +673,10 @@ impl LocalScheduler for FcfsScheduler {
     // placements never look at later queue entries: both fast paths are
     // sound.
     fn incremental_tail(&self) -> bool {
+        true
+    }
+
+    fn monotone_tail(&self) -> bool {
         true
     }
 

@@ -9,18 +9,21 @@
 //!   whole column, and every remaining job is re-ranked at every
 //!   decision.
 //! * **snapshot** — the default incremental engine: the cluster freezes
-//!   its availability profile behind an O(1) copy-on-write snapshot,
-//!   `EctView` fills cold columns in one batched pass, keeps every entry
-//!   a slack certificate covers across submits (the rest resume their
-//!   descent from their old start), and re-ranks only the jobs whose
-//!   estimates changed.
+//!   its availability profile behind an O(1) copy-on-write snapshot and
+//!   `EctView` re-ranks only the jobs whose estimates changed. FCFS
+//!   sites (every site here) answer from width tables: one first-fit
+//!   start per distinct job width, rebuilt in one merge after each
+//!   submit or cancel, plus the job's scaled walltime. Other sites fill
+//!   cold columns in one batched pass and keep every entry a slack
+//!   certificate covers across submits (the rest resume their descent
+//!   from their old start).
 //!
 //! The workload drives single reallocation ticks over grids of 3/6/9
 //! sites with 128/512/2048 waiting jobs, under both paper algorithms
 //! and representative heuristics. For every layer the two
 //! configurations must produce **identical outcomes** — migrations,
 //! final queue contents and reservations are hashed and compared, so
-//! certificate-kept entries are checked against full refills — and at
+//! width-table answers are checked against per-entry dry runs — and at
 //! the 512-deep layer the incremental engine must run the tick at least
 //! **1.5×** faster (summed over site counts and configs).
 //!
@@ -66,10 +69,9 @@ impl Lcg {
 /// every site fully occupied by a running head job with staggered
 /// recovery horizons (so ECT gradients exist), and a waiting queue
 /// skewed onto site 0 (half the jobs) with the rest spread around.
-/// All sites run FCFS — its tail floor is a max-scan over every queued
-/// reservation, so the historical path pays O(queue) per dry-run
-/// estimate while the batched column fill computes the floor once and
-/// threads the shared dominance frontier through the rest.
+/// All sites run FCFS, so the incremental engine serves every column
+/// from a width table while the historical path places each dry run
+/// from the tail floor on its own.
 fn grid(sites: usize, depth: usize) -> Vec<Cluster> {
     let mut rng = Lcg(0x5EED_CAFE ^ ((sites as u64) << 32) ^ depth as u64);
     let mut clusters: Vec<Cluster> = (0..sites)

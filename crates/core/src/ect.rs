@@ -12,13 +12,14 @@
 //!
 //! ## Columns and snapshots
 //!
-//! A cold column is answered in one *batched* pass
-//! ([`Cluster::estimate_placement_batch`]): the cluster freezes its
-//! availability profile behind a copy-on-write snapshot, every alive job
-//! estimates against that frozen store, and a shared dominance frontier
-//! lets later (wider/longer) jobs resume their placement descent from
-//! floors earlier jobs proved unreachable. Later misses are answered one
-//! entry at a time against the (re-)frozen snapshot.
+//! Outside width-table sites (below), a cold column is answered in one
+//! *batched* pass ([`Cluster::estimate_placement_batch`]): the cluster
+//! freezes its availability profile behind a copy-on-write snapshot,
+//! every alive job estimates against that frozen store, and a shared
+//! dominance frontier lets later (wider/longer) jobs resume their
+//! placement descent from floors earlier jobs proved unreachable. Later
+//! misses are answered one entry at a time against the (re-)frozen
+//! snapshot.
 //!
 //! ## Slack certificates
 //!
@@ -49,32 +50,61 @@
 //! The certificate needs both monotonicities, so it applies only where
 //! they hold by construction: clusters whose scheduler claims
 //! [`LocalScheduler::incremental_tail`](grid_batch::LocalScheduler::incremental_tail)
-//! (a tail submit never moves another reservation — FCFS, CBF) and that
-//! carry no ECT-noise hook (a noisy estimate is not a placement end).
-//! The view also checks that the frozen floor did not fall. Everywhere
-//! else — EASY and EASY-SJF, noisy sites, the source of an Algorithm 1
-//! migration (its capacity rises), custom mutations through
-//! [`EctView::invalidate_cluster`] — the whole column is dropped and
-//! re-probed from the floor. Debug builds re-probe every kept entry and
-//! every resumed probe from the floor and assert the same start.
+//! (a tail submit never moves another reservation — CBF; FCFS sites
+//! have width tables instead, below) and that carry no ECT-noise hook
+//! (a noisy estimate is not a placement end). The view also checks that
+//! the frozen floor did not fall. Everywhere else — EASY and EASY-SJF,
+//! noisy sites, the source of an Algorithm 1 migration (its capacity
+//! rises), custom mutations through [`EctView::invalidate_cluster`] —
+//! the whole column is dropped and re-probed from the floor. Debug
+//! builds re-probe every kept entry and every resumed probe from the
+//! floor and assert the same start.
+//!
+//! ## Width tables
+//!
+//! On a site whose scheduler claims the
+//! [`monotone_tail`](grid_batch::LocalScheduler::monotone_tail) (FCFS)
+//! every reservation starts at or before the tail floor `F`, so free
+//! capacity only rises after `F`. A job's first fit from `F` is then the
+//! first instant `≥ F` with its `p` processors free, whatever its
+//! walltime: the start depends on the width alone. Such a site, when it
+//! carries no ECT-noise hook, keeps no entries, states or certificates.
+//! Its column is a *width table*: one start per distinct width of the
+//! round, placed in one merge over the frozen breakpoints after `F`
+//! ([`Cluster::estimate_width_starts`], which asserts the monotone tail
+//! at every step it reads), and `new_ect(i, c)` is the start of job
+//! `i`'s width plus its scaled walltime on `c` — no probe at all.
+//!
+//! A submit or a cancel on the site rebuilds its table at once, and only
+//! the rows whose width's start moved are re-keyed, plus, in `Queued`
+//! mode, the jobs queued there (their current ECT is re-read). That is
+//! exact: a job's walltime on a site never changes within a round, so
+//! its estimate there moved exactly when its width's start did. Unlike
+//! a certificate, a rebuild needs no monotonicity across mutations, so
+//! it also covers the cancel that lowers an Algorithm 1 source's floor.
+//! Slots with no live job are not rebuilt; reading one (for a job
+//! already removed) places that width alone. Debug builds re-probe every
+//! built slot from the floor ([`Cluster::debug_check_placement`]).
 //!
 //! ## Row keys
 //!
 //! [`EctView::arg_best`] caches each live job's ranking key and
 //! recomputes it only when one of the job's estimates, or its current
 //! ECT, changed since it was keyed; every other row keeps its key, so a
-//! decision costs work proportional to what it changed.
+//! decision costs work proportional to what it changed. The rows to
+//! re-key are listed as they go stale, so a selection recomputes those
+//! and then scans the cached keys in one tight pass.
 //!
 //! [`set_ect_snapshot_enabled`]`(false)` restores the historical path —
 //! per-entry `estimate_new(&mut)` dry-runs, whole-column invalidation,
-//! every row re-keyed at every selection. Answers are bit-identical
-//! either way; the `realloc` bench and the reallocation differential
-//! test use it as their oracle.
+//! no width tables, every row re-keyed at every selection. Answers are
+//! bit-identical either way; the `realloc` bench and the reallocation
+//! differential test use it as their oracle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use grid_batch::{Cluster, JobSpec, Placement, SubmitError};
-use grid_des::SimTime;
+use grid_des::{Duration, SimTime};
 
 /// Process-wide switch for the incremental ECT engine (snapshot-backed
 /// column fills, slack certificates, cached row keys). Disabling
@@ -163,6 +193,56 @@ impl Entry {
     }
 }
 
+/// Where a job's cached ranking key stands ([`EctView::arg_best`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyState {
+    /// The cached key is current.
+    Fresh,
+    /// An estimate or the current ECT changed: listed for recomputation.
+    Stale,
+    /// The job left the round; it is never keyed again.
+    Removed,
+}
+
+/// The jobs whose ranking key must be recomputed at the next selection,
+/// as a state per job plus a list of the stale ones, so a selection
+/// visits only them.
+#[derive(Debug)]
+struct Rekey {
+    state: Vec<KeyState>,
+    list: Vec<usize>,
+}
+
+impl Rekey {
+    fn all(n: usize) -> Rekey {
+        Rekey {
+            state: vec![KeyState::Stale; n],
+            list: (0..n).collect(),
+        }
+    }
+
+    /// List job `i` for recomputation, unless it already is or left.
+    fn insert(&mut self, i: usize) {
+        if self.state[i] == KeyState::Fresh {
+            self.state[i] = KeyState::Stale;
+            self.list.push(i);
+        }
+    }
+}
+
+/// One cluster's width table (see the module docs).
+#[derive(Debug)]
+struct WidthTable {
+    /// First-fit start per width slot (parallel to `EctView::widths`);
+    /// `None` for slots no live job had at the last build.
+    starts: Vec<Option<SimTime>>,
+    /// Scaled walltime of every job of the round on this cluster.
+    walltime: Vec<Duration>,
+    /// `starts` describe the cluster as it is now. Cleared by
+    /// [`EctView::invalidate_cluster`]; the next read rebuilds.
+    fresh: bool,
+}
+
 /// Lazily filled ECT matrix over the remaining jobs of one round.
 pub struct EctView<'a> {
     clusters: &'a mut [Cluster],
@@ -202,9 +282,26 @@ pub struct EctView<'a> {
     floor: Vec<SimTime>,
     /// Cached ranking key per job ([`EctView::arg_best`]).
     keys: Vec<i128>,
-    /// Per job: an estimate or the current ECT changed since `keys` was
+    /// Jobs whose estimates or current ECT changed since `keys` was
     /// computed.
-    rekey: Vec<bool>,
+    rekey: Rekey,
+    /// The round's distinct job widths, ascending: the width-table
+    /// slots.
+    widths: Vec<u32>,
+    /// Per job: its slot in `widths`.
+    width_of: Vec<usize>,
+    /// Per slot: live jobs of that width. Builds skip dead slots.
+    width_live: Vec<u32>,
+    /// Per slot: the first job of that width (debug builds re-probe the
+    /// slot's start with it).
+    width_rep: Vec<usize>,
+    /// Per cluster: its width table, on the clusters tables serve.
+    tables: Vec<Option<WidthTable>>,
+    /// Per slot: the last build moved its start (rebuild scratch).
+    moved: Vec<bool>,
+    /// Rebuild scratch: the widths built and their starts.
+    build_widths: Vec<u32>,
+    build_starts: Vec<SimTime>,
 }
 
 impl<'a> EctView<'a> {
@@ -217,12 +314,39 @@ impl<'a> EctView<'a> {
     ) -> Self {
         let n = jobs.len();
         let k = clusters.len();
+        let incremental = ECT_SNAPSHOT.load(Ordering::Relaxed);
+        let mut widths: Vec<u32> = jobs.iter().map(|w| w.spec.procs).collect();
+        widths.sort_unstable();
+        widths.dedup();
+        let width_of: Vec<usize> = jobs
+            .iter()
+            .map(|w| widths.binary_search(&w.spec.procs).expect("width listed"))
+            .collect();
+        let mut width_live = vec![0; widths.len()];
+        let mut width_rep = vec![usize::MAX; widths.len()];
+        for (i, &slot) in width_of.iter().enumerate() {
+            width_live[slot] += 1;
+            width_rep[slot] = width_rep[slot].min(i);
+        }
+        let tables = clusters
+            .iter()
+            .map(|c| {
+                let tabled = incremental
+                    && c.ect_noise().is_none()
+                    && c.policy().scheduler().monotone_tail();
+                tabled.then(|| WidthTable {
+                    starts: vec![None; widths.len()],
+                    walltime: jobs.iter().map(|w| c.scale_job(&w.spec).walltime).collect(),
+                    fresh: false,
+                })
+            })
+            .collect();
         EctView {
             clusters,
             jobs,
             now,
             mode,
-            incremental: ECT_SNAPSHOT.load(Ordering::Relaxed),
+            incremental,
             live: (0..n).collect(),
             cur,
             entries: vec![Entry::UNKNOWN; n * k],
@@ -230,7 +354,15 @@ impl<'a> EctView<'a> {
             prepared: vec![false; k],
             floor: vec![SimTime::ZERO; k],
             keys: vec![0; n],
-            rekey: vec![true; n],
+            rekey: Rekey::all(n),
+            moved: vec![false; widths.len()],
+            widths,
+            width_of,
+            width_live,
+            width_rep,
+            tables,
+            build_widths: Vec::new(),
+            build_starts: Vec::new(),
         }
     }
 
@@ -274,6 +406,8 @@ impl<'a> EctView<'a> {
         match self.live.binary_search(&i) {
             Ok(pos) => {
                 self.live.remove(pos);
+                self.width_live[self.width_of[i]] -= 1;
+                self.rekey.state[i] = KeyState::Removed;
             }
             Err(_) => debug_assert!(false, "job removed twice"),
         }
@@ -296,19 +430,36 @@ impl<'a> EctView<'a> {
         mut key: impl FnMut(&mut Self, usize) -> i128,
         maximise: bool,
     ) -> Option<usize> {
+        if self.incremental {
+            let mut stale = std::mem::take(&mut self.rekey.list);
+            for &i in &stale {
+                if self.rekey.state[i] == KeyState::Stale {
+                    self.keys[i] = key(self, i);
+                    self.rekey.state[i] = KeyState::Fresh;
+                }
+            }
+            debug_assert!(self.rekey.list.is_empty(), "reading a key staled a row");
+            stale.clear();
+            self.rekey.list = stale;
+            if cfg!(debug_assertions) {
+                for pos in 0..self.live.len() {
+                    let i = self.live[pos];
+                    assert_eq!(
+                        key(self, i),
+                        self.keys[i],
+                        "cached key of job {i} went stale"
+                    );
+                }
+            }
+        } else {
+            for pos in 0..self.live.len() {
+                let i = self.live[pos];
+                self.keys[i] = key(self, i);
+            }
+        }
         let mut best: Option<(i128, usize)> = None;
-        for pos in 0..self.live.len() {
-            let i = self.live[pos];
-            let v = if self.rekey[i] || !self.incremental {
-                let v = key(self, i);
-                self.keys[i] = v;
-                self.rekey[i] = false;
-                v
-            } else {
-                let v = self.keys[i];
-                debug_assert_eq!(key(self, i), v, "cached key of job {i} went stale");
-                v
-            };
+        for &i in &self.live {
+            let v = self.keys[i];
             let better = match best {
                 None => true,
                 Some((b, _)) if maximise => v > b,
@@ -341,6 +492,14 @@ impl<'a> EctView<'a> {
     pub fn new_ect(&mut self, i: usize, c: usize) -> Option<SimTime> {
         if self.mode == ViewMode::Queued && c == self.jobs[i].cluster {
             return None;
+        }
+        if let Some(table) = &self.tables[c] {
+            if table.fresh {
+                if let Some(start) = table.starts[self.width_of[i]] {
+                    return Some(start + table.walltime[i]);
+                }
+            }
+            return self.table_ect(i, c);
         }
         let at = c * self.jobs.len() + i;
         let entry = self.entries[at];
@@ -376,6 +535,110 @@ impl<'a> EctView<'a> {
             self.entries[at].ect
         };
         (v != SimTime::MAX).then_some(v)
+    }
+
+    /// [`new_ect`](Self::new_ect) on a width-table cluster when the
+    /// table cannot answer as it stands: the job does not fit, the table
+    /// is stale, or the job's width slot is dead. Answers the start of
+    /// the job's width plus its scaled walltime there.
+    fn table_ect(&mut self, i: usize, c: usize) -> Option<SimTime> {
+        // The first read of a cold table builds it even when this job
+        // cannot run here, as the first read of a cold column fills it.
+        if !self.tables[c].as_ref().expect("width table").fresh {
+            self.build_table(c);
+        }
+        let procs = self.jobs[i].spec.procs;
+        if procs == 0 || procs > self.clusters[c].spec().procs {
+            return None;
+        }
+        let slot = self.width_of[i];
+        let table = self.tables[c].as_mut().expect("width table");
+        let start = match table.starts[slot] {
+            Some(start) => start,
+            None => {
+                // A dead slot (no live job of this width at the last
+                // build) read for a job already removed: place it alone
+                // against the same frozen snapshot.
+                self.clusters[c].estimate_width_starts(&[procs], self.now, &mut self.build_starts);
+                table.starts[slot] = Some(self.build_starts[0]);
+                self.build_starts[0]
+            }
+        };
+        Some(start + table.walltime[i])
+    }
+
+    /// (Re)build cluster `c`'s width table from a fresh freeze: every live
+    /// slot that fits the cluster, in one merge. Marks in `moved` the
+    /// slots whose start changed and returns `true` if any did.
+    fn build_table(&mut self, c: usize) -> bool {
+        self.prepare(c);
+        let procs = self.clusters[c].spec().procs;
+        self.build_widths.clear();
+        for (slot, &width) in self.widths.iter().enumerate() {
+            if width > procs {
+                break;
+            }
+            if width > 0 && self.width_live[slot] > 0 {
+                self.build_widths.push(width);
+            }
+        }
+        self.clusters[c].estimate_width_starts(
+            &self.build_widths,
+            self.now,
+            &mut self.build_starts,
+        );
+        if self.cold[c] {
+            self.clusters[c].note_column_refill();
+            self.cold[c] = false;
+        }
+        let table = self.tables[c].as_mut().expect("width table");
+        let mut built = self.build_starts.iter().copied();
+        let mut any = false;
+        for (slot, &width) in self.widths.iter().enumerate() {
+            let start = (width > 0 && width <= procs && self.width_live[slot] > 0)
+                .then(|| built.next().expect("one start per built width"));
+            let moved = start.is_some() && table.starts[slot] != start;
+            self.moved[slot] = moved;
+            any |= moved;
+            table.starts[slot] = start;
+        }
+        table.fresh = true;
+        if cfg!(debug_assertions) {
+            for (slot, start) in table.starts.iter().enumerate() {
+                if let Some(start) = *start {
+                    let rep = &self.jobs[self.width_rep[slot]].spec;
+                    self.clusters[c].debug_check_placement(rep, start);
+                }
+            }
+        }
+        any
+    }
+
+    /// After a submit to or a cancel on width-table cluster `c`: rebuild
+    /// the table at once and re-key only the rows whose width's start
+    /// moved, plus (`Queued` mode) the jobs queued on `c`, whose current
+    /// ECT is re-read. A stale table is left for the next read to
+    /// rebuild: every row that read it was re-keyed when it went stale.
+    fn refresh_table(&mut self, c: usize) {
+        let moved = if self.tables[c].as_ref().expect("width table").fresh {
+            self.build_table(c)
+        } else {
+            self.prepared[c] = false;
+            false
+        };
+        let queued = self.mode == ViewMode::Queued;
+        if !moved && !queued {
+            return;
+        }
+        for &i in &self.live {
+            if moved && self.moved[self.width_of[i]] {
+                self.rekey.insert(i);
+            }
+            if queued && self.jobs[i].cluster == c {
+                self.cur[i] = None;
+                self.rekey.insert(i);
+            }
+        }
     }
 
     /// Freeze cluster `c` for dry-runs and record its tail floor.
@@ -473,14 +736,16 @@ impl<'a> EctView<'a> {
     }
 
     /// Submit job `i` to cluster `c` at the round's instant, keeping
-    /// the cache exact: entries of `c` that a slack certificate covers
-    /// survive, the rest turn stale (see the module docs); on clusters
-    /// the certificate does not apply to, the column is dropped.
-    /// Returns the reserved start.
+    /// the cache exact: a width-table cluster rebuilds its table, on
+    /// others the entries a slack certificate covers survive and the rest
+    /// turn stale (see the module docs); on clusters neither applies to,
+    /// the column is dropped. Returns the reserved start.
     pub fn submit(&mut self, i: usize, c: usize) -> Result<SimTime, SubmitError> {
         let spec = self.jobs[i].spec;
         let start = self.clusters[c].submit(spec, self.now)?;
-        if self.certifiable(c) {
+        if self.tables[c].is_some() {
+            self.refresh_table(c);
+        } else if self.certifiable(c) {
             self.certify(c, &spec, start);
         } else {
             self.invalidate_cluster(c);
@@ -489,13 +754,17 @@ impl<'a> EctView<'a> {
     }
 
     /// Cancel waiting job `i` on the cluster it is queued on (`Queued`
-    /// mode) and drop that cluster's column: the cancel frees capacity,
-    /// which no certificate covers. `None` if the job was not waiting
-    /// there.
+    /// mode) and rebuild that cluster's width table, or drop its column
+    /// elsewhere: the cancel frees capacity, which no certificate covers.
+    /// `None` if the job was not waiting there.
     pub fn cancel(&mut self, i: usize) -> Option<JobSpec> {
         let w = self.jobs[i];
         let job = self.clusters[w.cluster].cancel(w.spec.id, self.now)?;
-        self.invalidate_cluster(w.cluster);
+        if self.tables[w.cluster].is_some() {
+            self.refresh_table(w.cluster);
+        } else {
+            self.invalidate_cluster(w.cluster);
+        }
         Some(job)
     }
 
@@ -529,7 +798,7 @@ impl<'a> EctView<'a> {
                 let overlaps = entry.start < e && s < entry.ect;
                 if entry.start < floor || (overlaps && entry.slack < p) {
                     entry.state = EntryState::Stale;
-                    self.rekey[i] = true;
+                    self.rekey.insert(i);
                 } else if overlaps {
                     entry.slack -= p;
                 }
@@ -538,7 +807,7 @@ impl<'a> EctView<'a> {
             // re-read all the same, as the historical path does.
             if queued && self.jobs[i].cluster == c {
                 self.cur[i] = None;
-                self.rekey[i] = true;
+                self.rekey.insert(i);
             }
         }
         if cfg!(debug_assertions) {
@@ -552,20 +821,24 @@ impl<'a> EctView<'a> {
     }
 
     /// Invalidate every cached estimate involving cluster `c` (after a
-    /// cancel or a submit changed its queue). Custom strategies that
-    /// mutate a cluster through [`EctView::cluster_mut`] must call this.
+    /// cancel or a submit changed its queue); a width table is rebuilt
+    /// at its next read. Custom strategies that mutate a cluster through
+    /// [`EctView::cluster_mut`] must call this.
     pub fn invalidate_cluster(&mut self, c: usize) {
         let n = self.jobs.len();
         let queued = self.mode == ViewMode::Queued;
         let column = &mut self.entries[c * n..][..n];
         for &i in &self.live {
             column[i] = Entry::UNKNOWN;
-            self.rekey[i] = true;
+            self.rekey.insert(i);
             if queued && self.jobs[i].cluster == c {
                 self.cur[i] = None;
             }
         }
         self.prepared[c] = false;
+        if let Some(table) = &mut self.tables[c] {
+            table.fresh = false;
+        }
     }
 
     /// Mutable access to a cluster (for custom migrations; report them
@@ -755,11 +1028,12 @@ mod tests {
     }
 
     /// A submit keeps every entry its slack certificate covers — served
-    /// again without a probe — and re-probes the rest.
+    /// again without a probe — and re-probes the rest. (CBF: FCFS sites
+    /// are served by width tables instead.)
     #[test]
     fn certificates_keep_covered_entries_and_reprobe_the_rest() {
         let mut c0 = Cluster::new(ClusterSpec::new("c0", 8, 1.0), BatchPolicy::Fcfs);
-        let c1 = Cluster::new(ClusterSpec::new("c1", 8, 1.0), BatchPolicy::Fcfs);
+        let c1 = Cluster::new(ClusterSpec::new("c1", 8, 1.0), BatchPolicy::Cbf);
         c0.submit(JobSpec::new(100, 0, 8, 1000, 1000), SimTime(0))
             .unwrap();
         c0.start_due(SimTime(0));
@@ -787,6 +1061,73 @@ mod tests {
         assert_eq!(probes(&mut v), before, "kept entries need no probe");
         assert_eq!(v.new_ect(2, 1), Some(SimTime(200)), "slack 1 does not");
         assert_eq!(probes(&mut v), before + 1, "the stale entry re-probes");
+    }
+
+    /// On an FCFS site a submit rebuilds the width table in one merge,
+    /// re-keys only the rows whose width's start moved, and serves every
+    /// read from the table without a probe.
+    #[test]
+    fn width_tables_rekey_only_moved_widths() {
+        let mut c0 = Cluster::new(ClusterSpec::new("c0", 8, 1.0), BatchPolicy::Fcfs);
+        let c1 = Cluster::new(ClusterSpec::new("c1", 8, 1.0), BatchPolicy::Fcfs);
+        c0.submit(JobSpec::new(100, 0, 8, 1000, 1000), SimTime(0))
+            .unwrap();
+        c0.start_due(SimTime(0));
+        let jobs: Vec<WaitingJob> = [(1, 2), (2, 2), (3, 7), (4, 3)]
+            .into_iter()
+            .map(|(id, procs)| WaitingJob {
+                spec: JobSpec::new(id, id, procs, 50, 100),
+                cluster: 0,
+            })
+            .collect();
+        let mut clusters = vec![c0, c1];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, vec![SimTime(1100); 4], SimTime(0));
+        let probes = |v: &mut EctView<'_>| {
+            let now = v.now();
+            let c1 = v.cluster_mut(1);
+            c1.prepare_estimates(now);
+            c1.stats().first_fit_probes
+        };
+        let before = probes(&mut v);
+        // Keys every row: all four start at 0 on the idle site.
+        assert_eq!(
+            v.arg_best(|v, i| v.best_ect(i).as_secs() as i128, false),
+            Some(0)
+        );
+        assert_eq!(
+            probes(&mut v),
+            before + 3,
+            "one probe per width: 2, 3 and 7"
+        );
+        // 2 procs over [0, 100): one probe places the job, three rebuild
+        // the widths.
+        v.submit(0, 1).unwrap();
+        assert_eq!(
+            probes(&mut v),
+            before + 7,
+            "the submit rebuilt all three widths"
+        );
+        assert_eq!(v.rekey.list, [2], "only width 7 moved");
+        let reads: Vec<_> = (1..4).map(|i| v.new_ect(i, 1)).collect();
+        assert_eq!(
+            reads,
+            [Some(SimTime(100)), Some(SimTime(200)), Some(SimTime(100))]
+        );
+        assert_eq!(probes(&mut v), before + 7, "reads need no probe");
+        v.remove(0);
+        v.submit(2, 1).unwrap(); // 7 procs over [100, 200): the floor rises
+        assert_eq!(probes(&mut v), before + 11, "width 2 is still live (job 1)");
+        assert_eq!(v.new_ect(1, 1), Some(SimTime(300)));
+        assert_eq!(v.new_ect(3, 1), Some(SimTime(300)));
+        // Width 2 dies with job 1; the next rebuild skips it, and a read
+        // for the removed job places that width alone.
+        v.remove(2);
+        v.remove(1);
+        v.submit(3, 1).unwrap(); // 3 procs over [200, 300)
+        assert_eq!(probes(&mut v), before + 13, "only width 3 is rebuilt");
+        assert_eq!(v.new_ect(1, 1), Some(SimTime(300)), "free 5 >= 2 at 200");
+        assert_eq!(probes(&mut v), before + 14, "the dead slot is placed alone");
+        assert_eq!(clusters[1].stats().ect_column_refills, 1, "one cold build");
     }
 
     #[test]

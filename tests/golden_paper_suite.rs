@@ -11,8 +11,8 @@
 //! The checked-in artifacts cover the whole matrix at fraction 0.002
 //! (fast enough for `cargo test`); the `#[ignore]`d test additionally
 //! pins the 1% example-spec campaign by hash — run it with
-//! `cargo test --release -- --ignored golden` when touching scheduling
-//! internals.
+//! `cargo test --release --test golden_paper_suite -- --ignored` when
+//! touching scheduling internals (CI runs it too).
 
 use caniou_realloc::campaign::{aggregate, execute, CampaignSpec, ExecOptions};
 
@@ -115,9 +115,10 @@ fn sha256_hex(bytes: &[u8]) -> String {
     h.iter().map(|v| format!("{v:08x}")).collect()
 }
 
-/// The 1% example-spec campaign, pinned by hash (slow — release only).
+/// The 1% example-spec campaign, pinned by hash (about 10 s in a release
+/// build; far slower in debug).
 #[test]
-#[ignore = "minutes-long; run with --release -- --ignored when touching scheduling internals"]
+#[ignore = "release-build check; run with --release --test golden_paper_suite -- --ignored"]
 fn paper_suite_at_one_percent_matches_pre_refactor_hashes() {
     let pinned = include_str!("golden/paper_suite_001.sha256");
     let hash_of = |suffix: &str| {

@@ -1,8 +1,10 @@
 //! Differential test of the incremental reallocation round.
 //!
-//! The default ECT engine keeps cached estimates across submits by slack
-//! certificate, resumes stale probes from their old start, and re-ranks
-//! only the jobs whose estimates changed. The historical engine
+//! The default ECT engine serves FCFS sites from width tables rebuilt at
+//! every submit or cancel, keeps cached estimates on the other sites
+//! across submits by slack certificate, resumes stale probes from their
+//! old start, and re-ranks only the jobs whose estimates changed. The
+//! historical engine
 //! (`set_ect_snapshot_enabled(false)`) drops a whole column after every
 //! mutation and re-ranks every job at every decision. This test drives
 //! random deep-queue grids through several reallocation ticks and runs
@@ -11,7 +13,7 @@
 //!
 //! The engine switch is process-wide, so this file holds a single test.
 
-use caniou_realloc::batch::{BatchPolicy, Cluster, ClusterSpec, EctNoise, JobSpec};
+use caniou_realloc::batch::{BatchPolicy, Cluster, ClusterSpec, EctNoise, JobId, JobSpec};
 use caniou_realloc::des::{SimRng, SimTime};
 use caniou_realloc::realloc::ect::set_ect_snapshot_enabled;
 use caniou_realloc::realloc::realloc::run_tick;
@@ -23,10 +25,38 @@ const PERIOD: u64 = 3_600;
 /// Ticks per case.
 const TICKS: usize = 4;
 
-/// A grid of 3–4 sites with running jobs and deep, skewed queues. Some
-/// jobs are wider than the smaller sites, so "cannot run there" entries
-/// exist too.
-fn grid(rng: &mut SimRng, policies: &[BatchPolicy], noise: bool) -> Vec<Cluster> {
+/// How a grid draws its queued jobs' widths and configures its sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Widths up to half the largest site: some are wider than the
+    /// smaller sites, so "cannot run there" entries exist too.
+    Mixed,
+    /// Widths from a menu of four, so many rows share a width-table slot.
+    Narrow,
+    /// Widths mostly above the smallest site's size.
+    Wide,
+    /// Like `Mixed`, but every other site keeps walltimes sized for the
+    /// reference machine (`set_walltime_adjustment(false)`).
+    Unadjusted,
+}
+
+impl Shape {
+    const ALL: [Shape; 4] = [Shape::Mixed, Shape::Narrow, Shape::Wide, Shape::Unadjusted];
+
+    /// A queued job's width on a grid whose sites span `min..=max`
+    /// processors.
+    fn width(self, rng: &mut SimRng, min: u32, max: u32) -> u32 {
+        match self {
+            Shape::Mixed | Shape::Unadjusted => rng.gen_range(1..max / 2 + 2).min(max),
+            Shape::Narrow => [1, 2, 4, max / 2][rng.gen_range(0..4usize)],
+            Shape::Wide if min < max && rng.gen_bool(0.75) => rng.gen_range(min + 1..max + 1),
+            Shape::Wide => rng.gen_range(1..min + 1),
+        }
+    }
+}
+
+/// A grid of 3–4 sites with running jobs and deep, skewed queues.
+fn grid(rng: &mut SimRng, policies: &[BatchPolicy], noise: bool, shape: Shape) -> Vec<Cluster> {
     let sites = rng.gen_range(3..5usize);
     let mut clusters: Vec<Cluster> = (0..sites)
         .map(|s| {
@@ -39,10 +69,13 @@ fn grid(rng: &mut SimRng, policies: &[BatchPolicy], noise: bool) -> Vec<Cluster>
             if noise {
                 c.set_ect_noise(Some(EctNoise::new(rng.next_u64(), 0.3)));
             }
+            if shape == Shape::Unadjusted && s % 2 == 1 {
+                c.set_walltime_adjustment(false);
+            }
             c
         })
         .collect();
-    let max_procs = clusters.iter().map(|c| c.spec().procs).max().unwrap();
+    let widths = Widths::of(&clusters, shape);
     let mut id = 0u64;
     for c in &mut clusters {
         for _ in 0..rng.gen_range(1..4usize) {
@@ -59,7 +92,7 @@ fn grid(rng: &mut SimRng, policies: &[BatchPolicy], noise: bool) -> Vec<Cluster>
     }
     let depth = rng.gen_range(32..97usize);
     for _ in 0..depth {
-        submit_random(rng, &mut clusters, id, 1, max_procs);
+        submit_random(rng, &mut clusters, id, 1, widths);
         id += 1;
     }
     for c in &mut clusters {
@@ -68,10 +101,29 @@ fn grid(rng: &mut SimRng, policies: &[BatchPolicy], noise: bool) -> Vec<Cluster>
     clusters
 }
 
+/// How `submit_random` draws widths on one grid.
+#[derive(Debug, Clone, Copy)]
+struct Widths {
+    shape: Shape,
+    min: u32,
+    max: u32,
+}
+
+impl Widths {
+    fn of(clusters: &[Cluster], shape: Shape) -> Widths {
+        let procs = clusters.iter().map(|c| c.spec().procs);
+        Widths {
+            shape,
+            min: procs.clone().min().unwrap(),
+            max: procs.max().unwrap(),
+        }
+    }
+}
+
 /// Queue one random job at instant `at`, half of them on site 0, on a
 /// site wide enough to take it.
-fn submit_random(rng: &mut SimRng, clusters: &mut [Cluster], id: u64, at: u64, max: u32) {
-    let procs = rng.gen_range(1..max / 2 + 2).min(max);
+fn submit_random(rng: &mut SimRng, clusters: &mut [Cluster], id: u64, at: u64, widths: Widths) {
+    let procs = widths.shape.width(rng, widths.min, widths.max);
     let runtime = rng.gen_range(60..4_000u64);
     let walltime = runtime + rng.gen_range(0..runtime + 1);
     let fits: Vec<usize> = (0..clusters.len())
@@ -180,14 +232,17 @@ fn incremental_rounds_match_the_historical_engine_tick_for_tick() {
     let mut rng = SimRng::seed_from_u64(0xD1FF);
     let (mut incremental_probes, mut legacy_probes) = (0u64, 0u64);
     let mut migrations = 0usize;
-    for (name, policy, noises) in &policies {
+    for (shape, (name, policy, noises)) in Shape::ALL
+        .into_iter()
+        .flat_map(|shape| policies.iter().map(move |p| (shape, p)))
+    {
         for &noise in *noises {
             for algorithm in algorithms {
                 for &heuristic in &heuristics {
-                    let case = format!("{name}/{algorithm}/{heuristic}/noise={noise}");
+                    let case = format!("{shape:?}/{name}/{algorithm}/{heuristic}/noise={noise}");
                     let cfg = ReallocConfig::new(algorithm, heuristic);
-                    let mut clusters = grid(&mut rng, policy, noise);
-                    let max_procs = clusters.iter().map(|c| c.spec().procs).max().unwrap();
+                    let mut clusters = grid(&mut rng, policy, noise, shape);
+                    let widths = Widths::of(&clusters, shape);
                     // The grid's arrivals came in at t = 1.
                     let mut clock = SimTime(1);
                     let mut now = SimTime(PERIOD);
@@ -215,7 +270,7 @@ fn incremental_rounds_match_the_historical_engine_tick_for_tick() {
                         clock = SimTime(now.as_secs() + 1);
                         for _ in 0..rng.gen_range(4..12usize) {
                             let at = clock.as_secs();
-                            submit_random(&mut rng, &mut clusters, next_id, at, max_procs);
+                            submit_random(&mut rng, &mut clusters, next_id, at, widths);
                             next_id += 1;
                         }
                         now = SimTime(now.as_secs() + PERIOD);
@@ -227,6 +282,68 @@ fn incremental_rounds_match_the_historical_engine_tick_for_tick() {
     assert!(migrations > 0, "the grids must make the rounds move jobs");
     assert!(
         incremental_probes < legacy_probes,
-        "certificates must save probes: {incremental_probes} vs {legacy_probes}"
+        "certificates and width tables must save probes: {incremental_probes} vs {legacy_probes}"
     );
+    no_cancel_moves_that_lower_the_source_floor(&heuristics);
+}
+
+/// Three FCFS sites at t = 3600. Site 0 holds a queue whose later jobs
+/// wait behind a full-width one (floor 7000); site 1 is idle; site 2 is
+/// blocked until 8000 and holds job 13, which ranks by site 0's width
+/// table. Moving site 0's jobs away lowers its floor, so its table is
+/// rebuilt from a lower floor after each cancel.
+fn floor_lowering_grid() -> Vec<Cluster> {
+    let fcfs = |name: &str, procs: u32| {
+        Cluster::new(ClusterSpec::new(name, procs, 1.0), BatchPolicy::Fcfs)
+    };
+    let mut clusters = vec![fcfs("src", 8), fcfs("idle", 8), fcfs("blocked", 4)];
+    for (c, (id, procs, end)) in [(0, (1, 8, 5_000)), (1, (2, 8, 3_000)), (2, (3, 4, 8_000))] {
+        clusters[c]
+            .submit(JobSpec::new(id, 0, procs, end, end), SimTime(0))
+            .unwrap();
+        clusters[c].start_due(SimTime(0));
+    }
+    // Site 0: starts 5000, 6000 and 7000.
+    for (id, procs) in [(10, 2), (11, 8), (12, 2)] {
+        clusters[0]
+            .submit(JobSpec::new(id, 1, procs, 900, 1_000), SimTime(1))
+            .unwrap();
+    }
+    clusters[2]
+        .submit(JobSpec::new(13, 1, 2, 400, 500), SimTime(1))
+        .unwrap();
+    clusters[1].complete(JobId(2), SimTime(3_000));
+    clusters
+}
+
+/// Algorithm 1 on [`floor_lowering_grid`] under every heuristic: both
+/// engines agree, and the round does lower site 0's floor.
+fn no_cancel_moves_that_lower_the_source_floor(heuristics: &[Heuristic]) {
+    let now = SimTime(PERIOD);
+    let floor = |clusters: &mut [Cluster]| {
+        clusters[0].next_reservation(now);
+        clusters[0].waiting_jobs().map(|q| q.reserved_start).max()
+    };
+    for &heuristic in heuristics {
+        let case = format!("floor-lowering/{heuristic}");
+        let cfg = ReallocConfig::new(ReallocAlgorithm::NoCancel, heuristic);
+        let mut clusters = floor_lowering_grid();
+        assert_eq!(floor(&mut clusters), Some(SimTime(7_000)));
+        let (mut fast, fast_report, _) = tick(&clusters, &cfg, now, true);
+        let (mut slow, slow_report, _) = tick(&clusters, &cfg, now, false);
+        assert_eq!(fast_report, slow_report, "{case}: report");
+        assert_eq!(
+            state(&mut fast, now),
+            state(&mut slow, now),
+            "{case}: queues"
+        );
+        assert!(
+            fast_report.migrations.iter().any(|m| m.from == 0),
+            "{case}: site 0 must lose a job"
+        );
+        assert!(
+            floor(&mut fast).is_none_or(|f| f < SimTime(7_000)),
+            "{case}: site 0's floor must fall"
+        );
+    }
 }
